@@ -24,7 +24,7 @@ from .equiv import (
     verify_isomorphism,
 )
 from .oracle import binomial_parity_row, naive_cell, search_state_maps
-from .render import parse_pattern_text, pattern_to_text, render_image, render_text
+from .render import parse_pattern_text, pattern_to_text, render_image
 from .rule import (
     RuleSyntaxError,
     RuleTerm,
@@ -34,7 +34,7 @@ from .rule import (
     parse_rule,
     rule_radius,
 )
-from .zmod import gcd, inverse, quotient_map, scale_map, units
+from .zmod import gcd, inverse, units
 
 __version__ = "0.1.0"
 
@@ -59,12 +59,9 @@ __all__ = [
     "parse_pattern_text",
     "parse_rule",
     "pattern_to_text",
-    "quotient_map",
     "reachable_states",
     "render_image",
-    "render_text",
     "rule_radius",
-    "scale_map",
     "search_state_maps",
     "seed_map",
     "seed_pair_map",

@@ -17,8 +17,14 @@ import numpy as np
 
 from . import oracle, render
 from .engine import evolve
-from .equiv import canonicalize, equivalence_classes, seed_pair_map, verify_isomorphism
-from .rule import format_rule, parse_rule
+from .equiv import (
+    _format_site,
+    canonicalize,
+    equivalence_classes,
+    seed_pair_map,
+    verify_isomorphism,
+)
+from .rule import format_rule, parse_rule, rule_radius
 from .zmod import gcd
 
 DEFAULT_RULE = "1@(-1);1@(1)"
@@ -31,22 +37,19 @@ EXIT_ORACLE = 3
 EXIT_CLASS_MISMATCH = 4
 
 
-def _format_site(site: tuple[int, ...]) -> str:
-    return ",".join(str(x) for x in site)
-
-
 def _oracle_check(pattern) -> int:
     """Cross-check engine rows against the recursive oracle (t within bounds).
 
     Returns an exit code; prints the first disagreeing cell if any.
     """
+    radius = rule_radius(pattern.rule)
     horizon = min(pattern.t_max, oracle.T_BOUND)
     for t in range(horizon + 1):
-        row = pattern.rows[t]
-        for index in np.ndindex(row.cells.shape):
-            site = tuple(int(i) + o for i, o in zip(index, row.origin))
+        row = pattern.cells[t]
+        for index in np.ndindex(row.shape):
+            site = tuple(i - radius * t for i in index)
             expected = oracle.naive_cell(pattern.modulus, pattern.rule, pattern.seed, t, site)
-            if int(row.cells[index]) != expected:
+            if int(row[index]) != expected:
                 print(f"oracle disagreement at t={t} i={_format_site(site)}")
                 return EXIT_ORACLE
     return EXIT_OK
@@ -54,6 +57,8 @@ def _oracle_check(pattern) -> int:
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     rule = parse_rule(args.rule, args.dim)
+    # refuse what the writer cannot lay out before evolving anything
+    render.check_dimension(args.dim, args.format)
     pattern = evolve(args.states, rule, args.seed, args.steps)
     if args.oracle:
         code = _oracle_check(pattern)

@@ -4,6 +4,11 @@ The engine is deliberately naive-but-exact: row t is computed from row t-1
 by a dense sweep, with no fast exponentiation or transform shortcuts, so it
 is the easiest code in the package to trust. Independent recomputation
 paths live in the oracle module.
+
+A pattern stores row t as a plain int64 array on its light cone, the box
+[-radius*t, radius*t]^D, so the state at site i sits at index i + radius*t
+on every axis. The box depends on (rule, t) only: two patterns under one
+rule are compared array against array, with no re-boxing.
 """
 
 from __future__ import annotations
@@ -90,21 +95,15 @@ def single_site_seed(n: int, dimension: int, a: int) -> Configuration:
     return Configuration(n, dimension, (0,) * dimension, cells)
 
 
-def step(config: Configuration, rule: TransitionRule) -> Configuration:
-    """One synchronous update: out[i] = sum_j c_j * in[i + v_j] mod n.
+def _advance(cells: np.ndarray, rule: TransitionRule, n: int, radius: int) -> np.ndarray:
+    """out[i] = sum_j c_j * in[i + v_j] mod n on the input box grown by radius.
 
-    The output box is the input box grown by the rule radius on every side,
-    which covers every site where a nonzero cell can appear. Coefficients
-    are reduced mod n here (floor-mod, result in [0, n)); reducing after
-    each term keeps intermediates below n**2, safely inside int64.
+    The grown box covers every site where a nonzero cell can appear.
+    Coefficients are reduced mod n here (floor-mod, result in [0, n));
+    reducing after each term keeps intermediates below n**2, safely inside
+    int64.
     """
-    if rule.dimension != config.dimension:
-        raise ValueError(
-            f"rule dimension {rule.dimension} != configuration dimension {config.dimension}"
-        )
-    n = config.modulus
-    radius = rule_radius(rule)
-    in_shape = config.cells.shape
+    in_shape = cells.shape
     out_shape = tuple(extent + 2 * radius for extent in in_shape)
     acc = np.zeros(out_shape, dtype=np.int64)
     for term in rule.terms:
@@ -114,42 +113,67 @@ def step(config: Configuration, rule: TransitionRule) -> Configuration:
         window = tuple(
             slice(radius - v, radius - v + extent) for v, extent in zip(term.offset, in_shape)
         )
-        acc[window] += c * config.cells
+        acc[window] += c * cells
         acc[window] %= n
+    return acc
+
+
+def step(config: Configuration, rule: TransitionRule) -> Configuration:
+    """One synchronous update: out[i] = sum_j c_j * in[i + v_j] mod n.
+
+    The output box is the input box grown by the rule radius on every side.
+    """
+    if rule.dimension != config.dimension:
+        raise ValueError(
+            f"rule dimension {rule.dimension} != configuration dimension {config.dimension}"
+        )
+    radius = rule_radius(rule)
+    cells = _advance(config.cells, rule, config.modulus, radius)
     origin = tuple(o - radius for o in config.origin)
-    return Configuration(n, config.dimension, origin, acc)
+    return Configuration(config.modulus, config.dimension, origin, cells)
 
 
 @dataclass(frozen=True, eq=False)
 class Pattern:
-    """Rows T^0 u, ..., T^t_max u of one seed's evolution under a fixed rule."""
+    """Rows T^0 u, ..., T^t_max u of one seed's evolution under a fixed rule.
+
+    ``cells[t]`` is row t as a plain int64 array on its light cone
+    [-radius*t, radius*t]^D, outer zeros included. ``rows`` is a view
+    derived from it on demand, for callers that want Configurations.
+    """
 
     modulus: int
     rule: TransitionRule
     seed: int
-    rows: tuple[Configuration, ...]
+    cells: tuple[np.ndarray, ...]
 
     @property
     def t_max(self) -> int:
-        return len(self.rows) - 1
+        return len(self.cells) - 1
 
     @property
     def dimension(self) -> int:
         return self.rule.dimension
 
+    @property
+    def rows(self) -> tuple[Configuration, ...]:
+        """Derived view: each row of ``cells`` as a light-cone Configuration."""
+        radius = rule_radius(self.rule)
+        return tuple(
+            Configuration(self.modulus, self.dimension, (-radius * t,) * self.dimension, row)
+            for t, row in enumerate(self.cells)
+        )
+
 
 def evolve(n: int, rule: TransitionRule, a: int, t_max: int) -> Pattern:
-    """Evolve the single-site seed a for t_max steps.
-
-    Row t is stored on the box [-radius*t, radius*t]^D whether or not its
-    outer cells are zero, so row shapes are a function of (rule, t) only.
-    """
+    """Evolve the single-site seed a for t_max steps."""
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    rows = [single_site_seed(n, rule.dimension, a)]
+    radius = rule_radius(rule)
+    cells = [single_site_seed(n, rule.dimension, a).cells]
     for _ in range(t_max):
-        rows.append(step(rows[-1], rule))
-    return Pattern(n, rule, a, tuple(rows))
+        cells.append(_advance(cells[-1], rule, n, radius))
+    return Pattern(n, rule, a, tuple(cells))
 
 
 def reachable_states(pattern: Pattern) -> set[int]:
@@ -159,23 +183,6 @@ def reachable_states(pattern: Pattern) -> set[int]:
     rows beyond the pattern's horizon could still introduce new states.
     """
     states: set[int] = set()
-    for row in pattern.rows:
-        states.update(int(v) for v in np.unique(row.cells))
+    for row in pattern.cells:
+        states.update(int(v) for v in np.unique(row))
     return states
-
-
-def row_in_box(config: Configuration, lo: tuple[int, ...], hi: tuple[int, ...]) -> np.ndarray:
-    """Copy a configuration into a dense array spanning [lo, hi], zero-padded.
-
-    The requested box must contain the stored box.
-    """
-    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-    start = tuple(o - l for o, l in zip(config.origin, lo))
-    if any(s < 0 for s in start) or any(
-        s + extent > full for s, extent, full in zip(start, config.cells.shape, shape)
-    ):
-        raise ValueError("target box does not contain the stored box")
-    out = np.zeros(shape, dtype=np.int64)
-    window = tuple(slice(s, s + extent) for s, extent in zip(start, config.cells.shape))
-    out[window] = config.cells
-    return out

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Configuration, Pattern, evolve, row_in_box
-from .rule import TransitionRule, format_rule
+from .engine import Pattern, evolve
+from .rule import TransitionRule, format_rule, rule_radius
 from .zmod import check_modulus, check_residue, gcd, inverse
 
 
@@ -155,20 +155,13 @@ class Certificate:
         return "\n".join(lines) + "\n"
 
 
-def union_box(a: Configuration, b: Configuration):
-    """Inclusive bounds of the smallest box containing both stored boxes."""
-    lo = tuple(min(x[0], y[0]) for x, y in zip(a.box, b.box))
-    hi = tuple(max(x[1], y[1]) for x, y in zip(a.box, b.box))
-    return lo, hi
-
-
 def verify_isomorphism(p: Pattern, q: Pattern, f: StateMap) -> Certificate:
-    """Check f(p cell) == q cell on the union light cone for every t <= t_max.
+    """Check f(p cell) == q cell on the light cone for every t <= t_max.
 
-    Both patterns are padded with zeros to their union box at each t, so a
-    support-shape mismatch is detected rather than skipped. A source state
-    outside f's domain counts as a failure. The first failure in (t, then
-    lexicographic site) order is reported.
+    The shared rule puts row t of both patterns on the same box, so rows are
+    compared array against array. A source state outside f's domain counts
+    as a failure. The first failure in (t, then lexicographic site) order is
+    reported.
     """
     if p.rule != q.rule:
         raise ValueError("patterns must share the transition rule")
@@ -183,16 +176,13 @@ def verify_isomorphism(p: Pattern, q: Pattern, f: StateMap) -> Certificate:
     for b, c in f.table.items():
         lut[b] = c
 
+    radius = rule_radius(p.rule)
     failure = None
     for t in range(p.t_max + 1):
-        lo, hi = union_box(p.rows[t], q.rows[t])
-        src = row_in_box(p.rows[t], lo, hi)
-        dst = row_in_box(q.rows[t], lo, hi)
-        mismatch = lut[src] != dst
+        mismatch = lut[p.cells[t]] != q.cells[t]
         if mismatch.any():
             index = np.argwhere(mismatch)[0]  # C order == lexicographic site order
-            site = tuple(int(i) + l for i, l in zip(index, lo))
-            failure = (t, site)
+            failure = (t, tuple(int(i) - radius * t for i in index))
             break
 
     return Certificate(

@@ -14,8 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .engine import Pattern, reachable_states, row_in_box
-from .equiv import StateMap, union_box
+from .engine import Pattern, reachable_states
+from .equiv import StateMap
 from .rule import TransitionRule
 from .zmod import check_modulus, check_residue
 
@@ -62,7 +62,7 @@ def search_state_maps(p: Pattern, q: Pattern) -> list[StateMap]:
 
     Enumerates every bijection between the two truncated reachable-state
     sets that pins 0 to 0, and keeps those that match the patterns at every
-    site of the union light cone for every t <= t_max. An empty list means
+    site of the light cone for every t <= t_max. An empty list means
     no finite-horizon witness exists. Results are ordered lexicographically
     by table.
     """
@@ -84,14 +84,9 @@ def search_state_maps(p: Pattern, q: Pattern) -> list[StateMap]:
     if (0 in source_states) != (0 in target_states):
         return []
 
-    src_rows = []
-    dst_rows = []
-    for t in range(p.t_max + 1):
-        lo, hi = union_box(p.rows[t], q.rows[t])
-        src_rows.append(row_in_box(p.rows[t], lo, hi).ravel())
-        dst_rows.append(row_in_box(q.rows[t], lo, hi).ravel())
-    src_all = np.concatenate(src_rows)
-    dst_all = np.concatenate(dst_rows)
+    # the shared rule gives both patterns the same row boxes
+    src_all = np.concatenate([row.ravel() for row in p.cells])
+    dst_all = np.concatenate([row.ravel() for row in q.cells])
 
     pin_zero = 0 in source_states
     domain = sorted(source_states - {0})

@@ -7,10 +7,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import Configuration, Pattern, row_in_box
+from .engine import Configuration, Pattern
 from .rule import rule_radius
 
 TEXT_MAGIC = "linca-pattern v1"
+FORMAT_LIMITS = {"text": "pattern text format supports D <= 2", "pgm": "render supports D <= 2"}
+
+
+def check_dimension(dimension: int, fmt: str) -> None:
+    """Refuse a dimension the writer of ``fmt`` ("text" or "pgm") cannot lay out."""
+    if dimension > 2:
+        raise ValueError(FORMAT_LIMITS[fmt])
 
 
 def pattern_to_text(pattern: Pattern) -> str:
@@ -20,32 +27,22 @@ def pattern_to_text(pattern: Pattern) -> str:
     In one dimension each row is one line; in two, each row is a block of
     lines in row-major order and blocks are separated by a blank line.
     """
-    if pattern.dimension > 2:
-        raise ValueError("pattern text format supports D <= 2")
+    check_dimension(pattern.dimension, "text")
     radius = rule_radius(pattern.rule)
     reach = radius * pattern.t_max
     header = (
         f"{TEXT_MAGIC} dim={pattern.dimension} n={pattern.modulus} "
         f"seed={pattern.seed} tmax={pattern.t_max} radius={radius}"
     )
-    lo = (-reach,) * pattern.dimension
-    hi = (reach,) * pattern.dimension
     blocks = []
-    for row in pattern.rows:
-        grid = row_in_box(row, lo, hi)
+    for t, row in enumerate(pattern.cells):
+        grid = np.pad(row, reach - radius * t)
         if pattern.dimension == 1:
             blocks.append(" ".join(str(v) for v in grid))
         else:
             blocks.append("\n".join(" ".join(str(v) for v in line) for line in grid))
     separator = "\n" if pattern.dimension == 1 else "\n\n"
     return header + "\n" + separator.join(blocks) + "\n"
-
-
-def render_text(pattern: Pattern) -> str:
-    """Text rendering of a one-dimensional pattern (header + centered rows)."""
-    if pattern.dimension != 1:
-        raise ValueError("render_text supports D = 1 only; pattern_to_text handles D = 2")
-    return pattern_to_text(pattern)
 
 
 class ParsedPattern(NamedTuple):
@@ -63,17 +60,24 @@ def parse_pattern_text(text: str) -> ParsedPattern:
     """Inverse of pattern_to_text; recovers the original per-row boxes exactly.
 
     Row t is cropped back to [-radius*t, radius*t]^D, which loses nothing
-    because support growth confines nonzero cells to that box.
+    because support growth confines nonzero cells to that box; a stream
+    with a nonzero cell outside it, or whose row 0 is not the header's
+    seed, is refused.
     """
     lines = text.splitlines()
     if not lines or not lines[0].startswith(TEXT_MAGIC + " "):
         raise ValueError(f"not a {TEXT_MAGIC} stream")
     fields = dict(part.split("=", 1) for part in lines[0].split()[2:])
+    missing = [key for key in ("dim", "n", "seed", "tmax", "radius") if key not in fields]
+    if missing:
+        raise ValueError(f"pattern header lacks {', '.join(missing)}")
     dimension = int(fields["dim"])
     n = int(fields["n"])
     seed = int(fields["seed"])
     t_max = int(fields["tmax"])
     radius = int(fields["radius"])
+    if t_max < 0 or radius < 0:
+        raise ValueError(f"pattern header needs tmax, radius >= 0, got {t_max}, {radius}")
     reach = radius * t_max
     width = 2 * reach + 1
 
@@ -81,7 +85,10 @@ def parse_pattern_text(text: str) -> ParsedPattern:
         extent = radius * t
         window = (slice(reach - extent, reach + extent + 1),) * dimension
         origin = (-extent,) * dimension
-        return Configuration(n, dimension, origin, grid[window].copy())
+        cone = grid[window]
+        if np.count_nonzero(cone) != np.count_nonzero(grid):
+            raise ValueError(f"row {t} has nonzero cells outside its light cone")
+        return Configuration(n, dimension, origin, cone.copy())
 
     rows = []
     if dimension == 1:
@@ -112,6 +119,9 @@ def parse_pattern_text(text: str) -> ParsedPattern:
             rows.append(crop(grid, t))
     else:
         raise ValueError("pattern text format supports D <= 2")
+    origin_state = int(rows[0].cells.flat[0])
+    if origin_state != seed:
+        raise ValueError(f"row 0 holds {origin_state} at the origin, header says seed={seed}")
     return ParsedPattern(n, seed, t_max, radius, dimension, tuple(rows))
 
 
@@ -136,20 +146,21 @@ def render_image(pattern: Pattern, path) -> list[Path]:
     space across. Two dimensions give one image per timestep, all padded to
     the final box, named ``<stem>_t<zero-padded t>.pgm``.
     """
-    if pattern.dimension > 2:
-        raise ValueError("render supports D <= 2")
+    check_dimension(pattern.dimension, "pgm")
     path = Path(path)
     n = pattern.modulus
-    reach = rule_radius(pattern.rule) * pattern.t_max
+    radius = rule_radius(pattern.rule)
+    reach = radius * pattern.t_max
     if pattern.dimension == 1:
-        grid = np.stack([row_in_box(row, (-reach,), (reach,)) for row in pattern.rows])
+        # the padded rows are a temporary, freed before state_pixels runs
+        grid = np.stack([np.pad(row, reach - radius * t) for t, row in enumerate(pattern.cells)])
         write_pgm(path, state_pixels(grid, n))
         return [path]
     digits = max(3, len(str(pattern.t_max)))
     suffix = path.suffix or ".pgm"
     written = []
-    for t, row in enumerate(pattern.rows):
-        frame = row_in_box(row, (-reach, -reach), (reach, reach))
+    for t, row in enumerate(pattern.cells):
+        frame = np.pad(row, reach - radius * t)
         frame_path = path.with_name(f"{path.stem}_t{t:0{digits}d}{suffix}")
         write_pgm(frame_path, state_pixels(frame, n))
         written.append(frame_path)

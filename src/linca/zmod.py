@@ -8,7 +8,6 @@ reduces eagerly, so results are deterministic and bit-exact.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 MAX_MODULUS = 2**31 - 1
 
@@ -68,38 +67,3 @@ def inverse(k: int, n: int) -> int:
     if old_r != 1:
         raise ValueError("no inverse: seed not coprime to modulus")
     return old_s % n
-
-
-def scale_map(k: int, n: int) -> Callable[[int], int]:
-    """The map b -> k*b mod n.
-
-    For a unit k this is an automorphism of the additive group mod n; for a
-    non-unit k it is still a well-defined (non-injective) map, and callers
-    that need injectivity must check unit-ness themselves.
-    """
-    check_residue(k, n)
-
-    def multiply(b: int) -> int:
-        check_residue(b, n)
-        return (k * b) % n
-
-    return multiply
-
-
-def quotient_map(n: int, d: int) -> Callable[[int], int]:
-    """The isomorphism from the multiples of d mod n onto Z/(n/d)Z, b -> b/d.
-
-    d must divide n. The returned map is partial: it is defined only on the
-    subgroup of residues divisible by d and raises for anything else.
-    """
-    check_modulus(n)
-    if d < 1 or n % d != 0:
-        raise ValueError(f"{d} does not divide the modulus {n}")
-
-    def collapse(b: int) -> int:
-        check_residue(b, n)
-        if b % d != 0:
-            raise ValueError(f"state outside subgroup: {b} is not a multiple of {d}")
-        return b // d
-
-    return collapse

@@ -1,3 +1,5 @@
+import pytest
+
 from conftest import run_cli
 
 from linca import cli, oracle
@@ -66,6 +68,24 @@ def test_evolve_oracle_disagreement_exits_3(monkeypatch, capsys):
     code = cli.main(["evolve", "--states", "3", "--seed", "1", "--steps", "4", "--oracle"])
     assert code == 3
     assert "oracle disagreement at t=2 i=-2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "fmt, message",
+    [("text", "pattern text format supports D <= 2"), ("pgm", "render supports D <= 2")],
+    ids=["text", "pgm"],
+)
+def test_evolve_refuses_3d_before_evolving(fmt, message, tmp_path, monkeypatch, capsys):
+    def no_evolve(*args):
+        raise AssertionError("evolve called for a pattern the writer refuses")
+
+    monkeypatch.setattr(cli, "evolve", no_evolve)
+    code = cli.main([
+        "evolve", "--states", "5", "--seed", "1", "--dim", "3", "--steps", "50",
+        "--rule", "1@(-1,0,0);1@(1,0,0)", "--format", fmt, "--out", str(tmp_path / "x"),
+    ])
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_canon_output():

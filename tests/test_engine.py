@@ -7,7 +7,6 @@ from linca.engine import (
     Configuration,
     evolve,
     reachable_states,
-    row_in_box,
     single_site_seed,
     step,
 )
@@ -133,12 +132,6 @@ def test_value_at_outside_box_is_zero(rule90):
     row = evolve(3, rule90, 1, 3).rows[3]
     assert row.value_at(99) == 0
     assert row.value_at(-99) == 0
-
-
-def test_row_in_box_rejects_smaller_target(rule90):
-    row = evolve(3, rule90, 1, 3).rows[3]
-    with pytest.raises(ValueError):
-        row_in_box(row, (-1,), (1,))
 
 
 configurations = st.integers(2, 10).flatmap(

@@ -112,6 +112,15 @@ def test_verify_reports_first_failure(rule90):
     assert "status falsified t=0 i=0" in certificate.serialize()
 
 
+def test_verify_reports_an_off_origin_failure_site(rule_2d):
+    p = evolve(5, rule_2d, 1, 4)
+    q = evolve(5, rule_2d, 2, 4)
+    wrong = StateMap(5, 5, {0: 0, 1: 2, 2: 3, 3: 1, 4: 4})
+    certificate = verify_isomorphism(p, q, wrong)
+    assert certificate.failure == (2, (-1, -1))
+    assert "status falsified t=2 i=-1,-1" in certificate.serialize()
+
+
 def test_verify_rejects_mismatched_patterns(rule90, rule_2d):
     p = evolve(5, rule90, 1, 10)
     mapping = seed_map(5, 1, 1)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from linca.engine import evolve, reachable_states
-from linca.equiv import seed_map, seed_pair_map
+from linca.equiv import StateMap, seed_map, seed_pair_map, verify_isomorphism
 from linca.oracle import binomial_parity_row, naive_cell, search_state_maps
+from linca.rule import parse_rule
 
 
 def test_naive_cell_base_cases(rule90):
@@ -63,6 +64,18 @@ def test_search_identity_when_patterns_equal(rule90):
     q = evolve(5, rule90, 1, 10)
     witnesses = search_state_maps(p, q)
     assert {b: b for b in range(5)} in [w.table for w in witnesses]
+
+
+def test_light_cone_rows_store_no_padding_zeros():
+    # every stored cell of this rule's rows is nonzero mod 5 up to t = 3, so
+    # a layout that padded rows with zeros would add state 0 and break all three
+    rule = parse_rule("1@(-1);1@(0);1@(1)")
+    p = evolve(5, rule, 1, 3)
+    q = evolve(5, rule, 2, 3)
+    assert reachable_states(p) == {1, 2, 3}
+    witnesses = search_state_maps(p, q)
+    assert [w.table for w in witnesses] == [{1: 2, 2: 4, 3: 1}]
+    assert verify_isomorphism(p, q, StateMap(5, 5, {1: 2, 2: 4, 3: 1})).verified
 
 
 def test_search_rejects_large_state_sets(rule90):

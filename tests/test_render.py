@@ -1,18 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
 from linca.engine import evolve
-from linca.render import (
-    parse_pattern_text,
-    pattern_to_text,
-    render_image,
-    render_text,
-)
+from linca.render import parse_pattern_text, pattern_to_text, render_image
 from linca.rule import parse_rule
 
 
 def test_render_text_mod2(rule90):
-    assert render_text(evolve(2, rule90, 1, 2)) == (
+    assert pattern_to_text(evolve(2, rule90, 1, 2)) == (
         "linca-pattern v1 dim=1 n=2 seed=1 tmax=2 radius=1\n"
         "0 0 1 0 0\n"
         "0 1 0 1 0\n"
@@ -21,22 +18,17 @@ def test_render_text_mod2(rule90):
 
 
 def test_render_text_single_row(rule90):
-    assert render_text(evolve(2, rule90, 1, 0)) == (
+    assert pattern_to_text(evolve(2, rule90, 1, 0)) == (
         "linca-pattern v1 dim=1 n=2 seed=1 tmax=0 radius=1\n1\n"
     )
 
 
 def test_render_text_mod3_seed2(rule90):
-    assert render_text(evolve(3, rule90, 2, 1)) == (
+    assert pattern_to_text(evolve(3, rule90, 2, 1)) == (
         "linca-pattern v1 dim=1 n=3 seed=2 tmax=1 radius=1\n"
         "0 2 0\n"
         "2 0 2\n"
     )
-
-
-def test_render_text_rejects_two_dimensional(rule_2d):
-    with pytest.raises(ValueError, match="D = 1"):
-        render_text(evolve(3, rule_2d, 1, 2))
 
 
 def test_text_round_trip_one_dimensional():
@@ -46,7 +38,7 @@ def test_text_round_trip_one_dimensional():
         ("1@(0)", 4, 2, 3),
     ):
         pattern = evolve(n, parse_rule(text), a, t_max)
-        parsed = parse_pattern_text(render_text(pattern))
+        parsed = parse_pattern_text(pattern_to_text(pattern))
         assert parsed.modulus == n and parsed.seed == a and parsed.t_max == t_max
         assert len(parsed.rows) == len(pattern.rows)
         for original, recovered in zip(pattern.rows, parsed.rows):
@@ -65,6 +57,27 @@ def test_text_round_trip_two_dimensional(rule_2d):
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_pattern_text("not a header\n1 2 3\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("linca-pattern v1 dim=1 n=2 seed=1 radius=1\n1\n", "lacks tmax"),
+        ("linca-pattern v1 dim=1 n=2 seed=1 tmax=-1 radius=1\n", "tmax, radius >= 0"),
+        ("linca-pattern v1 dim=1 n=2 seed=1 tmax=0 radius=-1\n1\n", "tmax, radius >= 0"),
+        ("linca-pattern v1 dim=1 n=3 seed=1 tmax=0 radius=1\n2\n", "row 0 holds 2"),
+        ("linca-pattern v1 dim=1 n=2 seed=1 tmax=1 radius=1\n1 0 1\n1 0 1\n",
+         "row 0 has nonzero cells outside its light cone"),
+        ("linca-pattern v1 dim=2 n=2 seed=1 tmax=1 radius=1\n"
+         "0 0 1\n0 1 0\n0 0 0\n\n0 1 0\n1 0 1\n0 1 0\n",
+         "row 0 has nonzero cells outside its light cone"),
+    ],
+    ids=["no-tmax", "negative-tmax", "negative-radius", "seed-mismatch", "outside-cone-1d",
+         "outside-cone-2d"],
+)
+def test_parse_rejects_malformed_streams(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_pattern_text(text)
 
 
 def test_render_image_mod2(tmp_path, rule90):

@@ -1,8 +1,6 @@
 import pytest
-from hypothesis import assume, given
-from hypothesis import strategies as st
 
-from linca.zmod import gcd, inverse, quotient_map, scale_map, units
+from linca.zmod import gcd, inverse, units
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -57,76 +55,3 @@ def test_inverse_rejects_non_unit():
         inverse(2, 4)
     with pytest.raises(ValueError, match="no inverse"):
         inverse(0, 6)
-
-
-def test_scale_map_examples():
-    double_mod5 = scale_map(2, 5)
-    assert [double_mod5(b) for b in (1, 2, 3, 4)] == [2, 4, 1, 3]
-    negate_mod6 = scale_map(5, 6)
-    assert [negate_mod6(b) for b in (1, 2, 3, 4, 5)] == [5, 4, 3, 2, 1]
-    identity = scale_map(1, 9)
-    assert all(identity(b) == b for b in range(9))
-
-
-def test_scale_map_allows_non_units():
-    # non-injective but well defined; unit-ness is the caller's business
-    collapse = scale_map(2, 4)
-    assert collapse(0) == collapse(2) == 0
-
-
-@given(n=st.integers(2, 60), k=st.integers(1, 59), data=st.data())
-def test_scale_map_unit_properties(n, k, data):
-    assume(k < n and gcd(k, n) == 1)
-    forward = scale_map(k, n)
-    backward = scale_map(inverse(k, n), n)
-    b = data.draw(st.integers(0, n - 1))
-    b_hat = data.draw(st.integers(0, n - 1))
-    assert backward(forward(b)) == b
-    assert forward((b + b_hat) % n) == (forward(b) + forward(b_hat)) % n
-    assert forward(0) == 0
-    if b != 0:
-        assert forward(b) != 0
-
-
-@given(n=st.integers(2, 60), k=st.integers(1, 59))
-def test_scale_map_unit_is_bijection(n, k):
-    assume(k < n and gcd(k, n) == 1)
-    forward = scale_map(k, n)
-    assert sorted(forward(b) for b in range(n)) == list(range(n))
-
-
-def test_quotient_map_examples():
-    halve_mod4 = quotient_map(4, 2)
-    assert halve_mod4(2) == 1
-    assert halve_mod4(0) == 0
-    halve_mod6 = quotient_map(6, 2)
-    assert [halve_mod6(b) for b in (2, 4, 0)] == [1, 2, 0]
-    third_mod6 = quotient_map(6, 3)
-    assert third_mod6(3) == 1
-    assert third_mod6(0) == 0
-
-
-def test_quotient_map_rejects_outside_subgroup():
-    with pytest.raises(ValueError, match="state outside subgroup"):
-        quotient_map(6, 2)(3)
-
-
-def test_quotient_map_rejects_non_divisor():
-    with pytest.raises(ValueError):
-        quotient_map(6, 4)
-
-
-@given(st.integers(2, 80), st.data())
-def test_quotient_map_is_group_isomorphism(n, data):
-    divisors = [d for d in range(1, n + 1) if n % d == 0 and n // d >= 2]
-    d = data.draw(st.sampled_from(divisors))
-    collapse = quotient_map(n, d)
-    subgroup = list(range(0, n, d))
-    # bijective onto Z/(n/d)Z
-    assert sorted(collapse(b) for b in subgroup) == list(range(n // d))
-    # additive on the subgroup
-    b = data.draw(st.sampled_from(subgroup))
-    b_hat = data.draw(st.sampled_from(subgroup))
-    assert collapse((b + b_hat) % n) == (collapse(b) + collapse(b_hat)) % (n // d)
-    # multiplying back by d recovers the element
-    assert collapse(b) * d == b
