@@ -40,18 +40,19 @@ EXIT_CLASS_MISMATCH = 4
 def _oracle_check(pattern) -> int:
     """Cross-check engine rows against the recursive oracle (t within bounds).
 
-    Returns an exit code; prints the first disagreeing cell if any.
+    One oracle, and so one memo, serves the whole pattern. Returns an exit
+    code; prints the first disagreeing cell if any.
     """
     radius = rule_radius(pattern.rule)
     horizon = min(pattern.t_max, oracle.T_BOUND)
-    for t in range(horizon + 1):
-        row = pattern.cells[t]
-        for index in np.ndindex(row.shape):
-            site = tuple(i - radius * t for i in index)
-            expected = oracle.naive_cell(pattern.modulus, pattern.rule, pattern.seed, t, site)
-            if int(row[index]) != expected:
-                print(f"oracle disagreement at t={t} i={_format_site(site)}")
-                return EXIT_ORACLE
+    with oracle.cell_oracle(pattern.modulus, pattern.rule, pattern.seed) as cell:
+        for t in range(horizon + 1):
+            row = pattern.cells[t]
+            for index, value in zip(np.ndindex(row.shape), row.ravel().tolist()):
+                site = tuple(i - radius * t for i in index)
+                if value != cell(t, site):
+                    print(f"oracle disagreement at t={t} i={_format_site(site)}")
+                    return EXIT_ORACLE
     return EXIT_OK
 
 
@@ -59,6 +60,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     rule = parse_rule(args.rule, args.dim)
     # refuse what the writer cannot lay out before evolving anything
     render.check_dimension(args.dim, args.format)
+    if args.format == "pgm" and not args.out:
+        raise ValueError("--format pgm requires --out")
     pattern = evolve(args.states, rule, args.seed, args.steps)
     if args.oracle:
         code = _oracle_check(pattern)
@@ -71,8 +74,6 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         else:
             sys.stdout.write(text)
     else:
-        if not args.out:
-            raise ValueError("--format pgm requires --out")
         render.render_image(pattern, args.out)
     return EXIT_OK
 

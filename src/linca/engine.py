@@ -21,6 +21,7 @@ from .rule import TransitionRule, rule_radius
 from .zmod import check_modulus, check_residue
 
 MAX_DIMENSION = 3
+INT64_MAX = 2**63 - 1
 
 
 def _site_tuple(site, dimension: int) -> tuple[int, ...]:
@@ -99,22 +100,32 @@ def _advance(cells: np.ndarray, rule: TransitionRule, n: int, radius: int) -> np
     """out[i] = sum_j c_j * in[i + v_j] mod n on the input box grown by radius.
 
     The grown box covers every site where a nonzero cell can appear.
-    Coefficients are reduced mod n here (floor-mod, result in [0, n));
-    reducing after each term keeps intermediates below n**2, safely inside
-    int64.
+    Coefficients are reduced mod n here (floor-mod, result in [0, n)), so
+    each term adds at most c_j * (n-1) to a cell. ``bound`` tracks that
+    running upper bound on ``acc``; the sum is reduced only when the next
+    term could carry it past INT64_MAX, and once at the end. Every product
+    c_j * in[i] is below n**2 <= 2**62, so a reduced ``acc`` (at most n-1)
+    always has room for one more term. For small n that is one ``%`` per
+    step instead of one per term.
     """
     in_shape = cells.shape
     out_shape = tuple(extent + 2 * radius for extent in in_shape)
     acc = np.zeros(out_shape, dtype=np.int64)
+    bound = 0
     for term in rule.terms:
         c = term.coefficient % n
         if c == 0:
             continue
+        if bound + c * (n - 1) > INT64_MAX:
+            acc %= n
+            bound = n - 1
         window = tuple(
             slice(radius - v, radius - v + extent) for v, extent in zip(term.offset, in_shape)
         )
         acc[window] += c * cells
-        acc[window] %= n
+        bound += c * (n - 1)
+    if bound >= n:
+        acc %= n
     return acc
 
 

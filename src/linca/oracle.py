@@ -10,7 +10,10 @@ the constructed maps lying in the same way.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from functools import lru_cache
+from operator import add
 
 import numpy as np
 
@@ -30,31 +33,48 @@ def naive_cell(n: int, rule: TransitionRule, a: int, t: int, site) -> int:
     ``site`` is a plain int in one dimension or a coordinate tuple
     otherwise. Bounded at t <= 20: without the light-cone memo the
     recursion would blow up exponentially, with it the bound keeps the memo
-    small.
+    small. The memo lives for this one call; to check many cells of one
+    pattern, share one ``cell_oracle`` instead.
+    """
+    with cell_oracle(n, rule, a) as cell:
+        if t < 0 or t > T_BOUND:
+            raise ValueError(f"t must be in [0, {T_BOUND}] for the recursive oracle, got {t}")
+        if isinstance(site, (int, np.integer)):
+            site = (site,)
+        site = tuple(int(x) for x in site)
+        if len(site) != rule.dimension:
+            raise ValueError(f"site {site} has arity {len(site)}, expected {rule.dimension}")
+        return cell(t, site)
+
+
+@contextmanager
+def cell_oracle(n: int, rule: TransitionRule, a: int) -> Iterator[Callable]:
+    """Validate (n, a) once and yield cell(t, site) for seed a's pattern.
+
+    ``site`` must be a coordinate tuple of the rule's arity and t should
+    stay within T_BOUND; neither is checked per call. The memo belongs to
+    this one check and is emptied when the ``with`` block ends, so no cell
+    outlives it.
     """
     check_modulus(n)
     if a == 0:
         raise ValueError("seed must be nonzero")
     check_residue(a, n)
-    if t < 0 or t > T_BOUND:
-        raise ValueError(f"t must be in [0, {T_BOUND}] for the recursive oracle, got {t}")
-    if isinstance(site, (int, np.integer)):
-        site = (site,)
-    site = tuple(int(x) for x in site)
-    if len(site) != rule.dimension:
-        raise ValueError(f"site {site} has arity {len(site)}, expected {rule.dimension}")
-    return _cell(n, rule, a, t, site)
+    terms = tuple((term.coefficient % n, term.offset) for term in rule.terms)
 
+    @lru_cache(maxsize=None)
+    def cell(t: int, site: tuple[int, ...]) -> int:
+        if t == 0:
+            return 0 if any(site) else a
+        total = 0
+        for c, offset in terms:
+            total = (total + c * cell(t - 1, tuple(map(add, site, offset)))) % n
+        return total
 
-@lru_cache(maxsize=None)
-def _cell(n: int, rule: TransitionRule, a: int, t: int, site: tuple[int, ...]) -> int:
-    if t == 0:
-        return a if all(x == 0 for x in site) else 0
-    total = 0
-    for term in rule.terms:
-        neighbor = tuple(x + v for x, v in zip(site, term.offset))
-        total = (total + (term.coefficient % n) * _cell(n, rule, a, t - 1, neighbor)) % n
-    return total
+    try:
+        yield cell
+    finally:
+        cell.cache_clear()
 
 
 def search_state_maps(p: Pattern, q: Pattern) -> list[StateMap]:

@@ -1,4 +1,13 @@
-"""Pattern presentation: a line-oriented text format and grayscale PGM images."""
+"""Pattern presentation: a line-oriented text format and grayscale PGM images.
+
+Both writers work on whole arrays, with no Python per cell. The text writer
+lays the padded rows into one grid (one per block in two dimensions), peels
+decimal digits off it with repeated % 10 and // 10 into a uint8 array with
+a separator byte after each cell, drops leading zeros through a keep-mask,
+and joins the blocks' bytes by a blank line before decoding them once. The
+1D image writer starts from an all-white uint8 image and writes each row's
+pixels into its light-cone slice, so no padded grid of states is built.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +20,7 @@ from .engine import Configuration, Pattern
 from .rule import rule_radius
 
 TEXT_MAGIC = "linca-pattern v1"
+HEADER_FIELDS = ("dim", "n", "seed", "tmax", "radius")
 FORMAT_LIMITS = {"text": "pattern text format supports D <= 2", "pgm": "render supports D <= 2"}
 
 
@@ -18,6 +28,29 @@ def check_dimension(dimension: int, fmt: str) -> None:
     """Refuse a dimension the writer of ``fmt`` ("text" or "pgm") cannot lay out."""
     if dimension > 2:
         raise ValueError(FORMAT_LIMITS[fmt])
+
+
+def _text_lines(lines: np.ndarray, n: int) -> np.ndarray:
+    """ASCII of one text line per row of a 2-D grid of states in [0, n).
+
+    Each line is the row's cells in decimal, separated by spaces and ended
+    by a newline, returned as one flat uint8 array. Every cell is written
+    with the digit count of n-1 plus one separator byte; a keep-mask then
+    drops the leading zeros of shorter numbers. The digits are peeled off
+    in the smallest unsigned type that holds n-1.
+    """
+    width = len(str(n - 1))
+    chars = np.empty(lines.shape + (width + 1,), dtype=np.uint8)
+    rest = lines.astype(np.min_scalar_type(n - 1))
+    for k in range(width - 1, -1, -1):
+        chars[..., k] = rest % 10 + ord("0")
+        rest //= 10
+    chars[..., width] = ord(" ")
+    chars[:, -1, width] = ord("\n")
+    keep = np.ones(chars.shape, dtype=bool)
+    for k in range(width - 1):  # the units digit is always kept, so 0 prints as "0"
+        keep[..., k] = lines >= 10 ** (width - 1 - k)
+    return chars[keep]
 
 
 def pattern_to_text(pattern: Pattern) -> str:
@@ -34,15 +67,17 @@ def pattern_to_text(pattern: Pattern) -> str:
         f"{TEXT_MAGIC} dim={pattern.dimension} n={pattern.modulus} "
         f"seed={pattern.seed} tmax={pattern.t_max} radius={radius}"
     )
-    blocks = []
-    for t, row in enumerate(pattern.cells):
-        grid = np.pad(row, reach - radius * t)
-        if pattern.dimension == 1:
-            blocks.append(" ".join(str(v) for v in grid))
-        else:
-            blocks.append("\n".join(" ".join(str(v) for v in line) for line in grid))
-    separator = "\n" if pattern.dimension == 1 else "\n\n"
-    return header + "\n" + separator.join(blocks) + "\n"
+    if pattern.dimension == 1:
+        # one block whose lines are the rows
+        grid = np.zeros((pattern.t_max + 1, 2 * reach + 1),
+                        dtype=np.min_scalar_type(pattern.modulus - 1))
+        for t, row in enumerate(pattern.cells):
+            grid[t, reach - radius * t:reach + radius * t + 1] = row
+        blocks = [grid]
+    else:
+        blocks = [np.pad(row, reach - radius * t) for t, row in enumerate(pattern.cells)]
+    body = b"\n".join(_text_lines(block, pattern.modulus).tobytes() for block in blocks)
+    return header + "\n" + body.decode("ascii")
 
 
 class ParsedPattern(NamedTuple):
@@ -68,9 +103,12 @@ def parse_pattern_text(text: str) -> ParsedPattern:
     if not lines or not lines[0].startswith(TEXT_MAGIC + " "):
         raise ValueError(f"not a {TEXT_MAGIC} stream")
     fields = dict(part.split("=", 1) for part in lines[0].split()[2:])
-    missing = [key for key in ("dim", "n", "seed", "tmax", "radius") if key not in fields]
+    missing = [key for key in HEADER_FIELDS if key not in fields]
     if missing:
         raise ValueError(f"pattern header lacks {', '.join(missing)}")
+    unknown = [key for key in fields if key not in HEADER_FIELDS]
+    if unknown:
+        raise ValueError(f"pattern header has unknown field {', '.join(unknown)}")
     dimension = int(fields["dim"])
     n = int(fields["n"])
     seed = int(fields["seed"])
@@ -78,6 +116,8 @@ def parse_pattern_text(text: str) -> ParsedPattern:
     radius = int(fields["radius"])
     if t_max < 0 or radius < 0:
         raise ValueError(f"pattern header needs tmax, radius >= 0, got {t_max}, {radius}")
+    if not 1 <= seed < n:
+        raise ValueError(f"pattern header needs seed in [1, n), got seed={seed} n={n}")
     reach = radius * t_max
     width = 2 * reach + 1
 
@@ -152,9 +192,10 @@ def render_image(pattern: Pattern, path) -> list[Path]:
     radius = rule_radius(pattern.rule)
     reach = radius * pattern.t_max
     if pattern.dimension == 1:
-        # the padded rows are a temporary, freed before state_pixels runs
-        grid = np.stack([np.pad(row, reach - radius * t) for t, row in enumerate(pattern.cells)])
-        write_pgm(path, state_pixels(grid, n))
+        image = np.full((pattern.t_max + 1, 2 * reach + 1), 255, dtype=np.uint8)
+        for t, row in enumerate(pattern.cells):
+            image[t, reach - radius * t:reach + radius * t + 1] = state_pixels(row, n)
+        write_pgm(path, image)
         return [path]
     digits = max(3, len(str(pattern.t_max)))
     suffix = path.suffix or ".pgm"

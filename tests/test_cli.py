@@ -1,6 +1,10 @@
+import contextlib
+import functools
+import gc
+
 import pytest
 
-from conftest import run_cli
+from conftest import FIXTURE_RULE_2D, run_cli
 
 from linca import cli, oracle
 
@@ -56,15 +60,21 @@ def test_evolve_oracle_agreement():
 
 
 def test_evolve_oracle_disagreement_exits_3(monkeypatch, capsys):
-    real = oracle.naive_cell
+    real = oracle.cell_oracle
 
-    def lying_cell(n, rule, a, t, site):
-        value = real(n, rule, a, t, site)
-        if t == 2 and site == (-2,):
-            return (value + 1) % n
-        return value
+    @contextlib.contextmanager
+    def lying_oracle(n, rule, a):
+        with real(n, rule, a) as cell:
 
-    monkeypatch.setattr(cli.oracle, "naive_cell", lying_cell)
+            def lying_cell(t, site):
+                value = cell(t, site)
+                if t == 2 and site == (-2,):
+                    return (value + 1) % n
+                return value
+
+            yield lying_cell
+
+    monkeypatch.setattr(cli.oracle, "cell_oracle", lying_oracle)
     code = cli.main(["evolve", "--states", "3", "--seed", "1", "--steps", "4", "--oracle"])
     assert code == 3
     assert "oracle disagreement at t=2 i=-2" in capsys.readouterr().out
@@ -86,6 +96,33 @@ def test_evolve_refuses_3d_before_evolving(fmt, message, tmp_path, monkeypatch, 
     ])
     assert code == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_evolve_refuses_pgm_without_out_before_evolving(monkeypatch, capsys):
+    def no_evolve(*args):
+        raise AssertionError("evolve called for a pattern that has nowhere to go")
+
+    monkeypatch.setattr(cli, "evolve", no_evolve)
+    code = cli.main([
+        "evolve", "--states", "7", "--seed", "1", "--steps", "3000", "--format", "pgm",
+    ])
+    assert code == 2
+    assert "error: --format pgm requires --out" in capsys.readouterr().err
+
+
+def test_oracle_check_keeps_no_cells_after_it_returns(capsys):
+    code = cli.main([
+        "evolve", "--states", "7", "--seed", "3", "--dim", "2", "--steps", "6",
+        "--rule", FIXTURE_RULE_2D, "--oracle",
+    ])
+    assert code == 0
+    memo_type = type(functools.lru_cache(maxsize=None)(lambda: 0))
+    kept = [
+        obj.cache_info().currsize
+        for obj in gc.get_objects()
+        if isinstance(obj, memo_type) and obj.__module__ == oracle.__name__
+    ]
+    assert sum(kept) == 0
 
 
 def test_canon_output():

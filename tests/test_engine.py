@@ -10,7 +10,9 @@ from linca.engine import (
     single_site_seed,
     step,
 )
-from linca.rule import parse_rule, rule_radius
+from linca.oracle import naive_cell
+from linca.rule import make_rule, parse_rule, rule_radius
+from linca.zmod import MAX_MODULUS
 
 
 def test_single_site_seed_one_dimensional():
@@ -107,6 +109,18 @@ def test_three_dimensional_step_works():
     rule = parse_rule("1@(-1,0,0);1@(1,0,0)", dimension=3)
     pattern = evolve(2, rule, 1, 2)
     assert pattern.rows[2].to_dict() == {(-2, 0, 0): 1, (2, 0, 0): 1}
+
+
+def test_evolve_at_the_largest_modulus_matches_python_ints():
+    # coefficients n-1, n-2, ..., n-5 and seed n-1 make every product about
+    # 2**62, so any two unreduced terms would overflow int64
+    n = MAX_MODULUS
+    rule = make_rule([(-k, (k - 3,)) for k in range(1, 6)], dimension=1)
+    pattern = evolve(n, rule, n - 1, 8)
+    radius = rule_radius(rule)
+    for t, row in enumerate(pattern.cells):
+        for index, value in enumerate(row.tolist()):
+            assert value == naive_cell(n, rule, n - 1, t, index - radius * t)
 
 
 def test_reachable_states_examples(rule90):

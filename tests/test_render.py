@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from linca.engine import evolve
-from linca.render import parse_pattern_text, pattern_to_text, render_image
-from linca.rule import parse_rule
+from linca.render import parse_pattern_text, pattern_to_text, render_image, state_pixels
+from linca.rule import parse_rule, rule_radius
+from linca.zmod import MAX_MODULUS
 
 
 def test_render_text_mod2(rule90):
@@ -71,13 +72,63 @@ def test_parse_rejects_garbage():
         ("linca-pattern v1 dim=2 n=2 seed=1 tmax=1 radius=1\n"
          "0 0 1\n0 1 0\n0 0 0\n\n0 1 0\n1 0 1\n0 1 0\n",
          "row 0 has nonzero cells outside its light cone"),
+        ("linca-pattern v1 dim=1 n=2 seed=0 tmax=1 radius=1\n0 0 0\n0 0 0\n",
+         "seed in [1, n), got seed=0 n=2"),
+        ("linca-pattern v1 dim=1 n=3 seed=3 tmax=0 radius=1\n0\n",
+         "seed in [1, n), got seed=3 n=3"),
+        ("linca-pattern v1 dim=1 n=2 seed=1 tmax=0 radius=1 extra=zz\n1\n",
+         "unknown field extra"),
     ],
     ids=["no-tmax", "negative-tmax", "negative-radius", "seed-mismatch", "outside-cone-1d",
-         "outside-cone-2d"],
+         "outside-cone-2d", "seed-zero", "seed-not-below-n", "unknown-field"],
 )
 def test_parse_rejects_malformed_streams(text, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         parse_pattern_text(text)
+
+
+def padded_rows(pattern):
+    radius = rule_radius(pattern.rule)
+    reach = radius * pattern.t_max
+    return [np.pad(row, reach - radius * t) for t, row in enumerate(pattern.cells)]
+
+
+def per_cell_text(pattern):
+    """The text format written one str() per cell."""
+    header = (
+        f"linca-pattern v1 dim={pattern.dimension} n={pattern.modulus} seed={pattern.seed} "
+        f"tmax={pattern.t_max} radius={rule_radius(pattern.rule)}"
+    )
+    if pattern.dimension == 1:
+        blocks = [" ".join(str(v) for v in grid) for grid in padded_rows(pattern)]
+        return header + "\n" + "\n".join(blocks) + "\n"
+    blocks = [
+        "\n".join(" ".join(str(v) for v in line) for line in grid)
+        for grid in padded_rows(pattern)
+    ]
+    return header + "\n" + "\n\n".join(blocks) + "\n"
+
+
+@pytest.mark.parametrize("n", [2, 10, 11, 101, MAX_MODULUS])
+@pytest.mark.parametrize("t_max", [0, 1, 6])
+def test_pattern_text_matches_per_cell_text(n, t_max, rule_2d):
+    rules = (parse_rule("1@(-1);2@(0);3@(1)"), parse_rule("1@(-2);5@(1)"), rule_2d)
+    for rule in rules:
+        for a in sorted({1, n // 3 or 1, n - 1}):
+            pattern = evolve(n, rule, a, t_max)
+            assert pattern_to_text(pattern) == per_cell_text(pattern)
+
+
+@pytest.mark.parametrize("n", [2, 10, 11, 101, MAX_MODULUS])
+def test_render_image_matches_the_padded_grid(n, tmp_path):
+    out = tmp_path / "rows.pgm"
+    for text, t_max in (("1@(-1);2@(0);3@(1)", 0), ("1@(-1);2@(0);3@(1)", 9), ("1@(-2);5@(1)", 7)):
+        pattern = evolve(n, parse_rule(text), n - 1, t_max)
+        grid = np.stack(padded_rows(pattern))
+        render_image(pattern, out)
+        height, width = grid.shape
+        expected = f"P5\n{width} {height}\n255\n".encode("ascii") + state_pixels(grid, n).tobytes()
+        assert out.read_bytes() == expected
 
 
 def test_render_image_mod2(tmp_path, rule90):
