@@ -18,14 +18,15 @@ import numpy as np
 from . import oracle, render
 from .engine import evolve
 from .equiv import (
+    ClassMismatchError,
     _format_site,
     canonicalize,
     equivalence_classes,
+    format_map_lines,
     seed_pair_map,
     verify_isomorphism,
 )
 from .rule import format_rule, parse_rule, rule_radius
-from .zmod import gcd
 
 DEFAULT_RULE = "1@(-1);1@(1)"
 DEFAULT_STEPS = 15
@@ -81,9 +82,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 def cmd_canon(args: argparse.Namespace) -> int:
     rule = parse_rule(args.rule, args.dim)
     r, reduction = canonicalize(args.states, args.seed)
-    print(f"r={r} d={gcd(args.states, args.seed)}")
-    for b in reduction.domain():
-        print(f"map {b}->{reduction.table[b]}")
+    print(f"r={r} d={args.states // r}")
+    sys.stdout.write(format_map_lines(reduction))
     if args.certify:
         source = evolve(args.states, rule, args.seed, args.steps)
         target = evolve(r, rule, 1, args.steps)
@@ -97,12 +97,11 @@ def cmd_canon(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     rule = parse_rule(args.rule, args.dim)
     n, a, a_hat = args.states, args.seed_a, args.seed_b
-    r_a, _ = canonicalize(n, a)
-    r_b, _ = canonicalize(n, a_hat)
-    if r_a != r_b:
-        print(f"seeds lie in different canonical classes: r_a={r_a} r_b={r_b}")
+    try:
+        mapping = seed_pair_map(n, a, a_hat)
+    except ClassMismatchError as err:
+        print(err)
         return EXIT_CLASS_MISMATCH
-    mapping = seed_pair_map(n, a, a_hat)
     p = evolve(n, rule, a, args.steps)
     q = evolve(n, rule, a_hat, args.steps)
     certificate = verify_isomorphism(p, q, mapping)

@@ -1,6 +1,7 @@
 """State maps between reachable-state sets and pattern-isomorphism checks.
 
-The maps built here are explicit finite tables so they can be serialized
+Every constructed map is one affine table, b -> e*((b/d)*k mod r) on the
+multiples of d in Z/nZ. The tables are explicit so they can be serialized
 into certificates, diffed in tests, and compared against brute-force
 searched witnesses. A certificate only ever asserts equality up to its
 finite horizon; the algebraic identities behind the constructions hold for
@@ -46,12 +47,6 @@ class StateMap:
         except KeyError:
             raise ValueError(f"state {b} outside the map domain") from None
 
-    def inverted(self) -> "StateMap":
-        """The inverse table; witnesses the symmetric isomorphism."""
-        return StateMap(
-            self.target_modulus, self.source_modulus, {c: b for b, c in self.table.items()}
-        )
-
     def restricted(self, states) -> "StateMap":
         """The same map cut down to the domain elements in ``states``."""
         return StateMap(
@@ -61,12 +56,34 @@ class StateMap:
         )
 
 
+class ClassMismatchError(ValueError):
+    """Two seeds with different canonical moduli: no constructed map joins them."""
+
+
+def _reduction(n: int, a: int) -> tuple[int, int, int]:
+    """Validate seed a once; return d = gcd(n, a), r = n/d, w = (a/d)^-1 mod r."""
+    check_residue(a, n)
+    if a == 0:
+        raise ValueError("seed must be nonzero")
+    d = gcd(n, a)
+    r = n // d
+    return d, r, inverse((a // d) % r, r)
+
+
+def _affine_map(n: int, d: int, k: int, e: int) -> StateMap:
+    """b -> e*((b/d)*k mod r), r = n/d, on the multiples of d into Z/(e*r)Z; (b/d)*k < 2**62."""
+    r = n // d
+    quotient = np.arange(r, dtype=np.int64)
+    images = e * (quotient * k % r)
+    return StateMap(n, e * r, dict(zip((quotient * d).tolist(), images.tolist())))
+
+
 def seed_map(n: int, a: int, a_hat: int) -> StateMap:
     """Unit-multiplication map sending seed a's pattern onto seed a_hat's.
 
-    Both seeds must be units mod n. The map is b -> k*b mod n with
-    k = a_hat * a^-1, defined on all of Z/nZ, and the scaling law of the
-    engine guarantees it matches the two patterns cell-wise at every t.
+    Both seeds must be units mod n. The map is the affine table with d = 1:
+    b -> k*b mod n with k = a_hat * a^-1, defined on all of Z/nZ, and the
+    scaling law of the engine matches the two patterns cell-wise at every t.
     """
     check_residue(a, n)
     check_residue(a_hat, n)
@@ -75,45 +92,41 @@ def seed_map(n: int, a: int, a_hat: int) -> StateMap:
             "seed map needs unit seeds (coprime to the modulus); "
             "use canonicalize for non-unit seeds"
         )
-    k = (a_hat * inverse(a, n)) % n
-    return StateMap(n, n, {b: (k * b) % n for b in range(n)})
+    return _affine_map(n, 1, a_hat * inverse(a, n) % n, 1)
 
 
 def canonicalize(n: int, a: int) -> tuple[int, StateMap]:
     """Reduce (n, a) to the canonical pair (r, 1) with r = n / gcd(n, a).
 
-    The map divides out d = gcd(n, a) on the subgroup of multiples of d,
-    then rescales by the inverse of a/d mod r so the seed itself lands on 1.
+    The map is the affine table b -> (b/d)*w mod r on the multiples of
+    d = gcd(n, a), with w = (a/d)^-1 mod r, so the seed itself lands on 1.
     Always satisfies map.table[a] == 1, and canonicalizing (r, 1) again
     yields the identity.
     """
-    check_residue(a, n)
-    if a == 0:
-        raise ValueError("seed must be nonzero")
-    d = gcd(n, a)
-    r = n // d
-    w = inverse((a // d) % r, r)
-    table = {b: ((b // d) * w) % r for b in range(0, n, d)}
-    return r, StateMap(n, r, table)
+    d, r, w = _reduction(n, a)
+    return r, _affine_map(n, d, w, 1)
 
 
 def seed_pair_map(n: int, a: int, a_hat: int) -> StateMap:
     """The constructed map between two seeds of the same canonical class.
 
-    For unit seeds this is seed_map; otherwise it composes a's reduction
-    with the inverse of a_hat's, giving a table on the shared subgroup of
-    multiples of gcd(n, a). Seeds from different classes are rejected.
+    a's reduction followed by the inverse of a_hat's, as one affine table:
+    b -> d*((b/d)*w*(a_hat/d) mod r) on the multiples of d = gcd(n, a);
+    for unit seeds this is seed_map. Seeds from different classes raise
+    ClassMismatchError.
     """
-    r_a, map_a = canonicalize(n, a)
-    r_hat, map_hat = canonicalize(n, a_hat)
-    if r_a != r_hat:
-        raise ValueError(
-            f"seeds lie in different canonical classes: r_a={r_a} r_b={r_hat}"
+    d, r, w = _reduction(n, a)
+    _, r_hat, _ = _reduction(n, a_hat)
+    if r != r_hat:
+        raise ClassMismatchError(
+            f"seeds lie in different canonical classes: r_a={r} r_b={r_hat}"
         )
-    if gcd(a, n) == 1:
-        return seed_map(n, a, a_hat)
-    lift = map_hat.inverted()
-    return StateMap(n, n, {b: lift.table[c] for b, c in map_a.table.items()})
+    return _affine_map(n, d, w * (a_hat // d) % r, d)
+
+
+def format_map_lines(f: StateMap) -> str:
+    """One ``map b->c`` line per domain element, in ascending order."""
+    return "".join(f"map {b}->{f.table[b]}\n" for b in f.domain())
 
 
 def _format_site(site: tuple[int, ...]) -> str:
@@ -139,20 +152,18 @@ class Certificate:
         return self.status == "verified"
 
     def serialize(self) -> str:
-        lines = [
-            "certificate v1",
-            f'source n={self.source_modulus} a={self.source_seed} '
-            f'rule="{format_rule(self.rule)}" tmax={self.verified_horizon}',
-            f"target n={self.target_modulus} a={self.target_seed}",
-        ]
-        for b in self.map.domain():
-            lines.append(f"map {b}->{self.map.table[b]}")
         if self.verified:
-            lines.append("status verified")
+            status = "status verified"
         else:
             t, site = self.failure
-            lines.append(f"status falsified t={t} i={_format_site(site)}")
-        return "\n".join(lines) + "\n"
+            status = f"status falsified t={t} i={_format_site(site)}"
+        return (
+            "certificate v1\n"
+            f'source n={self.source_modulus} a={self.source_seed} '
+            f'rule="{format_rule(self.rule)}" tmax={self.verified_horizon}\n'
+            f"target n={self.target_modulus} a={self.target_seed}\n"
+            f"{format_map_lines(self.map)}{status}\n"
+        )
 
 
 def verify_isomorphism(p: Pattern, q: Pattern, f: StateMap) -> Certificate:
@@ -173,8 +184,7 @@ def verify_isomorphism(p: Pattern, q: Pattern, f: StateMap) -> Certificate:
         raise ValueError("state map moduli do not match the patterns")
 
     lut = np.full(p.modulus, -1, dtype=np.int64)  # -1 marks out-of-domain states
-    for b, c in f.table.items():
-        lut[b] = c
+    lut[list(f.table)] = list(f.table.values())
 
     radius = rule_radius(p.rule)
     failure = None

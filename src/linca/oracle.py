@@ -113,12 +113,11 @@ def search_state_maps(p: Pattern, q: Pattern) -> list[StateMap]:
     candidates = sorted(target_states - {0})
 
     found = []
+    lut = np.full(p.modulus, -1, dtype=np.int64)  # every permutation rewrites lut[domain]
+    if pin_zero:
+        lut[0] = 0
     for image in itertools.permutations(candidates):
-        lut = np.full(p.modulus, -1, dtype=np.int64)
-        if pin_zero:
-            lut[0] = 0
-        for b, c in zip(domain, image):
-            lut[b] = c
+        lut[domain] = image
         if np.array_equal(lut[src_all], dst_all):
             table = dict(zip(domain, image))
             if pin_zero:

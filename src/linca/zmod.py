@@ -53,17 +53,9 @@ def units(n: int) -> set[int]:
 
 
 def inverse(k: int, n: int) -> int:
-    """Multiplicative inverse of k mod n, by the extended Euclidean algorithm.
-
-    Works for composite n as long as k is a unit; rejects non-units.
-    """
+    """Multiplicative inverse of k mod n; works for composite n, rejects non-units."""
     check_residue(k, n)
-    old_r, r = k, n
-    old_s, s = 1, 0
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    if old_r != 1:
-        raise ValueError("no inverse: seed not coprime to modulus")
-    return old_s % n
+    try:
+        return pow(k, -1, n)
+    except ValueError:
+        raise ValueError("no inverse: seed not coprime to modulus") from None

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import FIXTURE_RULE_2D, run_cli
 
-from linca import cli, oracle
+from linca import cli, equiv, oracle
 
 
 def test_evolve_writes_pattern_text():
@@ -182,6 +182,46 @@ def test_verify_search_lists_witnesses():
     out = result.stdout.decode()
     assert "witnesses 1" in out
     assert "witness 0->0 1->2 2->4 3->1 4->3" in out
+
+
+@pytest.mark.parametrize(
+    "seeds, message",
+    [
+        (("0", "1"), "seed must be nonzero"),
+        (("1", "0"), "seed must be nonzero"),
+        (("6", "1"), "residue 6 out of range [0, 6)"),
+        (("-1", "1"), "residue -1 out of range [0, 6)"),
+    ],
+    ids=["seed-a-zero", "seed-b-zero", "seed-a-n", "seed-a-negative"],
+)
+def test_verify_rejects_bad_seeds(seeds, message):
+    result = run_cli("verify", "--states", "6", "--seed-a", seeds[0], "--seed-b", seeds[1])
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert result.stderr.decode() == f"error: {message}\n"
+
+
+def test_commands_build_one_state_map_at_most(monkeypatch, capsys):
+    built = []
+    real = equiv.StateMap.__post_init__
+
+    def counting(self):
+        built.append(len(self.table))
+        real(self)
+
+    monkeypatch.setattr(equiv.StateMap, "__post_init__", counting)
+    assert cli.main(["verify", "--states", "12", "--seed-a", "2", "--seed-b", "10"]) == 0
+    assert built == [6]
+    built.clear()
+    assert cli.main(["canon", "--states", "12", "--seed", "8", "--certify"]) == 0
+    assert built == [3]
+    built.clear()
+    capsys.readouterr()
+    code = cli.main(["verify", "--states", "2000000", "--seed-a", "2", "--seed-b", "3"])
+    assert code == 4
+    assert built == []
+    out = capsys.readouterr().out
+    assert out == "seeds lie in different canonical classes: r_a=1000000 r_b=2000000\n"
 
 
 def test_sweep_partitions(tmp_path):

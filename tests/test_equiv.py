@@ -156,9 +156,30 @@ def test_verified_certificate_serialization(rule90):
 def test_inverse_map_witnesses_the_symmetric_claim(rule90):
     p = evolve(5, rule90, 1, 12)
     q = evolve(5, rule90, 2, 12)
-    mapping = seed_map(5, 1, 2)
-    assert verify_isomorphism(p, q, mapping).verified
-    assert verify_isomorphism(q, p, mapping.inverted()).verified
+    assert verify_isomorphism(p, q, seed_map(5, 1, 2)).verified
+    back = seed_pair_map(5, 2, 1)
+    assert back.table == {0: 0, 1: 3, 2: 1, 3: 4, 4: 2}
+    assert verify_isomorphism(q, p, back).verified
+
+
+def test_constructed_tables_match_their_formulas():
+    for n in range(2, 41):
+        for a in range(1, n):
+            d = gcd(n, a)
+            r = n // d
+            w = pow(a // d, -1, r)
+            _, reduction = canonicalize(n, a)
+            assert reduction.table == {b: (b // d) * w % r for b in range(0, n, d)}
+            # the composition the pair map replaces: a's reduction, then a_hat's inverse
+            for a_hat in range(1, n):
+                if gcd(n, a_hat) != d:
+                    continue
+                _, lift = canonicalize(n, a_hat)
+                back = {c: b for b, c in lift.table.items()}
+                composed = {b: back[c] for b, c in reduction.table.items()}
+                assert seed_pair_map(n, a, a_hat).table == composed, (n, a, a_hat)
+                if d == 1:
+                    assert seed_map(n, a, a_hat).table == composed, (n, a, a_hat)
 
 
 def test_seed_pair_map_unit_and_subgroup_cases():
