@@ -2,6 +2,9 @@
 verify pattern isomorphisms, and sweep seed partitions over many state
 counts.
 
+Commands only parse flags, call the library and write what it returns;
+a ValueError or OSError from the library is reported as exit 2.
+
 Exit codes: 0 success/verified, 1 falsified, 2 usage or parse error,
 3 oracle disagreement, 4 seeds in incomparable canonical classes.
 All output is deterministic: identical flags give byte-identical results.
@@ -12,8 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import oracle, render
 from .engine import evolve
@@ -26,7 +27,7 @@ from .equiv import (
     seed_pair_map,
     verify_isomorphism,
 )
-from .rule import format_rule, parse_rule, rule_radius
+from .rule import format_rule, parse_rule
 
 DEFAULT_RULE = "1@(-1);1@(1)"
 DEFAULT_STEPS = 15
@@ -38,25 +39,6 @@ EXIT_ORACLE = 3
 EXIT_CLASS_MISMATCH = 4
 
 
-def _oracle_check(pattern) -> int:
-    """Cross-check engine rows against the recursive oracle (t within bounds).
-
-    One oracle, and so one memo, serves the whole pattern. Returns an exit
-    code; prints the first disagreeing cell if any.
-    """
-    radius = rule_radius(pattern.rule)
-    horizon = min(pattern.t_max, oracle.T_BOUND)
-    with oracle.cell_oracle(pattern.modulus, pattern.rule, pattern.seed) as cell:
-        for t in range(horizon + 1):
-            row = pattern.cells[t]
-            for index, value in zip(np.ndindex(row.shape), row.ravel().tolist()):
-                site = tuple(i - radius * t for i in index)
-                if value != cell(t, site):
-                    print(f"oracle disagreement at t={t} i={_format_site(site)}")
-                    return EXIT_ORACLE
-    return EXIT_OK
-
-
 def cmd_evolve(args: argparse.Namespace) -> int:
     rule = parse_rule(args.rule, args.dim)
     # refuse what the writer cannot lay out before evolving anything
@@ -65,9 +47,11 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         raise ValueError("--format pgm requires --out")
     pattern = evolve(args.states, rule, args.seed, args.steps)
     if args.oracle:
-        code = _oracle_check(pattern)
-        if code != EXIT_OK:
-            return code
+        disagreement = oracle.first_disagreement(pattern)
+        if disagreement is not None:
+            t, site = disagreement
+            print(f"oracle disagreement at t={t} i={_format_site(site)}")
+            return EXIT_ORACLE
     if args.format == "text":
         text = render.pattern_to_text(pattern)
         if args.out:
@@ -105,9 +89,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     p = evolve(n, rule, a, args.steps)
     q = evolve(n, rule, a_hat, args.steps)
     certificate = verify_isomorphism(p, q, mapping)
+    # search first: a refused search must not leave a certificate on stdout
+    witnesses = oracle.search_state_maps(p, q) if args.search else None
     sys.stdout.write(certificate.serialize())
-    if args.search:
-        witnesses = oracle.search_state_maps(p, q)
+    if witnesses is not None:
         print(f"witnesses {len(witnesses)}")
         for witness in witnesses:
             pairs = " ".join(f"{b}->{witness.table[b]}" for b in witness.domain())
@@ -202,10 +187,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rule import TransitionRule, rule_radius
-from .zmod import check_modulus, check_residue
+from .zmod import check_modulus, check_seed
 
 MAX_DIMENSION = 3
 INT64_MAX = 2**63 - 1
@@ -89,9 +89,7 @@ def single_site_seed(n: int, dimension: int, a: int) -> Configuration:
     check_modulus(n)
     if not 1 <= dimension <= MAX_DIMENSION:
         raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}], got {dimension}")
-    if a == 0:
-        raise ValueError("seed must be nonzero")
-    check_residue(a, n)
+    check_seed(a, n)
     cells = np.full((1,) * dimension, a, dtype=np.int64)
     return Configuration(n, dimension, (0,) * dimension, cells)
 
@@ -174,6 +172,14 @@ class Pattern:
             Configuration(self.modulus, self.dimension, (-radius * t,) * self.dimension, row)
             for t, row in enumerate(self.cells)
         )
+
+
+def check_comparable(p: Pattern, q: Pattern) -> None:
+    """Require one rule (so one dimension and one box per row) and one horizon."""
+    if p.rule != q.rule:
+        raise ValueError("patterns must share the transition rule")
+    if p.t_max != q.t_max:
+        raise ValueError("patterns must share the horizon")
 
 
 def evolve(n: int, rule: TransitionRule, a: int, t_max: int) -> Pattern:

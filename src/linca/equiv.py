@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Pattern, evolve
+from .engine import Pattern, check_comparable, evolve
 from .rule import TransitionRule, format_rule, rule_radius
-from .zmod import check_modulus, check_residue, gcd, inverse
+from .zmod import check_modulus, check_residue, check_seed, gcd, inverse
 
 
 @dataclass
@@ -62,9 +62,7 @@ class ClassMismatchError(ValueError):
 
 def _reduction(n: int, a: int) -> tuple[int, int, int]:
     """Validate seed a once; return d = gcd(n, a), r = n/d, w = (a/d)^-1 mod r."""
-    check_residue(a, n)
-    if a == 0:
-        raise ValueError("seed must be nonzero")
+    check_seed(a, n)
     d = gcd(n, a)
     r = n // d
     return d, r, inverse((a // d) % r, r)
@@ -135,7 +133,7 @@ def _format_site(site: tuple[int, ...]) -> str:
 
 @dataclass
 class Certificate:
-    """Outcome of a cell-by-cell isomorphism check over a finite horizon."""
+    """Outcome of a cell-by-cell isomorphism check: verified exactly when no failure was found."""
 
     source_modulus: int
     source_seed: int
@@ -144,15 +142,14 @@ class Certificate:
     rule: TransitionRule
     map: StateMap
     verified_horizon: int
-    status: str  # "verified" or "falsified"
     failure: tuple[int, tuple[int, ...]] | None = None  # first failing (t, site)
 
     @property
     def verified(self) -> bool:
-        return self.status == "verified"
+        return self.failure is None
 
     def serialize(self) -> str:
-        if self.verified:
+        if self.failure is None:
             status = "status verified"
         else:
             t, site = self.failure
@@ -174,12 +171,7 @@ def verify_isomorphism(p: Pattern, q: Pattern, f: StateMap) -> Certificate:
     as a failure. The first failure in (t, then lexicographic site) order is
     reported.
     """
-    if p.rule != q.rule:
-        raise ValueError("patterns must share the transition rule")
-    if p.dimension != q.dimension:
-        raise ValueError("patterns must share the dimension")
-    if p.t_max != q.t_max:
-        raise ValueError("patterns must share the horizon")
+    check_comparable(p, q)
     if f.source_modulus != p.modulus or f.target_modulus != q.modulus:
         raise ValueError("state map moduli do not match the patterns")
 
@@ -203,7 +195,6 @@ def verify_isomorphism(p: Pattern, q: Pattern, f: StateMap) -> Certificate:
         rule=p.rule,
         map=f,
         verified_horizon=p.t_max,
-        status="verified" if failure is None else "falsified",
         failure=failure,
     )
 

@@ -4,7 +4,8 @@ Nothing here reuses the engine's row sweep: cells are recomputed by
 top-down memoized recursion, isomorphism witnesses are found by exhaustive
 bijection enumeration, and the two-state nearest-neighbor pattern is
 rebuilt from Pascal's triangle. These paths exist to catch the engine and
-the constructed maps lying in the same way.
+the constructed maps lying in the same way. ``first_disagreement`` walks
+an engine pattern against the recursion, as ``linca evolve --oracle`` does.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from operator import add
 
 import numpy as np
 
-from .engine import Pattern, reachable_states
+from .engine import Pattern, _site_tuple, check_comparable, reachable_states
 from .equiv import StateMap
-from .rule import TransitionRule
-from .zmod import check_modulus, check_residue
+from .rule import TransitionRule, rule_radius
+from .zmod import check_seed
 
 T_BOUND = 20
 PARITY_T_BOUND = 64
@@ -39,12 +40,7 @@ def naive_cell(n: int, rule: TransitionRule, a: int, t: int, site) -> int:
     with cell_oracle(n, rule, a) as cell:
         if t < 0 or t > T_BOUND:
             raise ValueError(f"t must be in [0, {T_BOUND}] for the recursive oracle, got {t}")
-        if isinstance(site, (int, np.integer)):
-            site = (site,)
-        site = tuple(int(x) for x in site)
-        if len(site) != rule.dimension:
-            raise ValueError(f"site {site} has arity {len(site)}, expected {rule.dimension}")
-        return cell(t, site)
+        return cell(t, _site_tuple(site, rule.dimension))
 
 
 @contextmanager
@@ -56,10 +52,7 @@ def cell_oracle(n: int, rule: TransitionRule, a: int) -> Iterator[Callable]:
     this one check and is emptied when the ``with`` block ends, so no cell
     outlives it.
     """
-    check_modulus(n)
-    if a == 0:
-        raise ValueError("seed must be nonzero")
-    check_residue(a, n)
+    check_seed(a, n)
     terms = tuple((term.coefficient % n, term.offset) for term in rule.terms)
 
     @lru_cache(maxsize=None)
@@ -77,6 +70,21 @@ def cell_oracle(n: int, rule: TransitionRule, a: int) -> Iterator[Callable]:
         cell.cache_clear()
 
 
+def first_disagreement(pattern: Pattern) -> tuple[int, tuple[int, ...]] | None:
+    """The first (t, site) where the pattern differs from the recursion, or None.
+
+    Rows t <= T_BOUND are walked in (t, then lexicographic site) order with one memo.
+    """
+    radius = rule_radius(pattern.rule)
+    with cell_oracle(pattern.modulus, pattern.rule, pattern.seed) as cell:
+        for t, row in enumerate(pattern.cells[:T_BOUND + 1]):
+            for index, value in zip(np.ndindex(row.shape), row.ravel().tolist()):
+                site = tuple(i - radius * t for i in index)
+                if value != cell(t, site):
+                    return t, site
+    return None
+
+
 def search_state_maps(p: Pattern, q: Pattern) -> list[StateMap]:
     """All state bijections under which p lands cell-for-cell on q.
 
@@ -84,14 +92,10 @@ def search_state_maps(p: Pattern, q: Pattern) -> list[StateMap]:
     sets that pins 0 to 0, and keeps those that match the patterns at every
     site of the light cone for every t <= t_max. An empty list means
     no finite-horizon witness exists. Results are ordered lexicographically
-    by table.
+    by table, the order in which permutations of the sorted candidates come;
+    since every domain state occurs in some cell, at most one can match.
     """
-    if p.rule != q.rule:
-        raise ValueError("patterns must share the transition rule")
-    if p.dimension != q.dimension:
-        raise ValueError("patterns must share the dimension")
-    if p.t_max != q.t_max:
-        raise ValueError("patterns must share the horizon")
+    check_comparable(p, q)
 
     source_states = reachable_states(p)
     target_states = reachable_states(q)
@@ -99,10 +103,8 @@ def search_state_maps(p: Pattern, q: Pattern) -> list[StateMap]:
         raise ValueError(
             f"reachable-state sets exceed the search bound ({SEARCH_BOUND})"
         )
-    if len(source_states) != len(target_states):
-        return []
-    if (0 in source_states) != (0 in target_states):
-        return []
+    if len(source_states) != len(target_states) or (0 in source_states) != (0 in target_states):
+        return []  # no bijection pinning 0 to 0 exists
 
     # the shared rule gives both patterns the same row boxes
     src_all = np.concatenate([row.ravel() for row in p.cells])
@@ -123,7 +125,6 @@ def search_state_maps(p: Pattern, q: Pattern) -> list[StateMap]:
             if pin_zero:
                 table[0] = 0
             found.append(StateMap(p.modulus, q.modulus, table))
-    found.sort(key=lambda m: sorted(m.table.items()))
     return found
 
 

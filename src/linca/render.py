@@ -1,16 +1,17 @@
 """Pattern presentation: a line-oriented text format and grayscale PGM images.
 
-Both writers work on whole arrays, with no Python per cell. The text writer
-lays the padded rows into one grid (one per block in two dimensions), peels
-decimal digits off it with repeated % 10 and // 10 into a uint8 array with
-a separator byte after each cell, drops leading zeros through a keep-mask,
-and joins the blocks' bytes by a blank line before decoding them once. The
-1D image writer starts from an all-white uint8 image and writes each row's
-pixels into its light-cone slice, so no padded grid of states is built.
-"""
+Both writers work on whole arrays, with no Python per cell. One painter
+stacks every row, in its light-cone window, into the final box: states
+(0 outside) for text, in the smallest unsigned type holding n-1, or uint8
+pixels (white outside) for PGM. Text peels decimal digits off with % 10
+and // 10 into bytes, a keep-mask drops leading zeros, and blocks (the
+whole stack in 1D, one per row in 2D) are joined by a blank line. PGM is
+one image in 1D and one frame per row in 2D. The reader crops rows back
+through the same window."""
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from pathlib import Path
 from typing import NamedTuple
 
@@ -28,6 +29,22 @@ def check_dimension(dimension: int, fmt: str) -> None:
     """Refuse a dimension the writer of ``fmt`` ("text" or "pgm") cannot lay out."""
     if dimension > 2:
         raise ValueError(FORMAT_LIMITS[fmt])
+
+
+def _cone(t: int, radius: int, reach: int, dimension: int) -> tuple[slice, ...]:
+    """Row t's light cone [-radius*t, radius*t]^D as slices of the final box [-reach, reach]^D."""
+    extent = radius * t
+    return (slice(reach - extent, reach + extent + 1),) * dimension
+
+
+def _paint(pattern: Pattern, fill: int, dtype, paint: Callable) -> np.ndarray:
+    """Rows stacked on the final box, (T+1,) + (W,)*D: paint(row) in each cone, fill elsewhere."""
+    radius = rule_radius(pattern.rule)
+    reach = radius * pattern.t_max
+    box = np.full((pattern.t_max + 1,) + (2 * reach + 1,) * pattern.dimension, fill, dtype=dtype)
+    for t, row in enumerate(pattern.cells):
+        box[(t,) + _cone(t, radius, reach, pattern.dimension)] = paint(row)
+    return box
 
 
 def _text_lines(lines: np.ndarray, n: int) -> np.ndarray:
@@ -61,21 +78,13 @@ def pattern_to_text(pattern: Pattern) -> str:
     lines in row-major order and blocks are separated by a blank line.
     """
     check_dimension(pattern.dimension, "text")
-    radius = rule_radius(pattern.rule)
-    reach = radius * pattern.t_max
     header = (
         f"{TEXT_MAGIC} dim={pattern.dimension} n={pattern.modulus} "
-        f"seed={pattern.seed} tmax={pattern.t_max} radius={radius}"
+        f"seed={pattern.seed} tmax={pattern.t_max} radius={rule_radius(pattern.rule)}"
     )
-    if pattern.dimension == 1:
-        # one block whose lines are the rows
-        grid = np.zeros((pattern.t_max + 1, 2 * reach + 1),
-                        dtype=np.min_scalar_type(pattern.modulus - 1))
-        for t, row in enumerate(pattern.cells):
-            grid[t, reach - radius * t:reach + radius * t + 1] = row
-        blocks = [grid]
-    else:
-        blocks = [np.pad(row, reach - radius * t) for t, row in enumerate(pattern.cells)]
+    grid = _paint(pattern, 0, np.min_scalar_type(pattern.modulus - 1), lambda row: row)
+    # one dimension is one block whose lines are the rows; two is a block per row
+    blocks = [grid] if pattern.dimension == 1 else grid
     body = b"\n".join(_text_lines(block, pattern.modulus).tobytes() for block in blocks)
     return header + "\n" + body.decode("ascii")
 
@@ -109,11 +118,7 @@ def parse_pattern_text(text: str) -> ParsedPattern:
     unknown = [key for key in fields if key not in HEADER_FIELDS]
     if unknown:
         raise ValueError(f"pattern header has unknown field {', '.join(unknown)}")
-    dimension = int(fields["dim"])
-    n = int(fields["n"])
-    seed = int(fields["seed"])
-    t_max = int(fields["tmax"])
-    radius = int(fields["radius"])
+    dimension, n, seed, t_max, radius = (int(fields[key]) for key in HEADER_FIELDS)
     if t_max < 0 or radius < 0:
         raise ValueError(f"pattern header needs tmax, radius >= 0, got {t_max}, {radius}")
     if not 1 <= seed < n:
@@ -122,13 +127,10 @@ def parse_pattern_text(text: str) -> ParsedPattern:
     width = 2 * reach + 1
 
     def crop(grid: np.ndarray, t: int) -> Configuration:
-        extent = radius * t
-        window = (slice(reach - extent, reach + extent + 1),) * dimension
-        origin = (-extent,) * dimension
-        cone = grid[window]
+        cone = grid[_cone(t, radius, reach, dimension)]
         if np.count_nonzero(cone) != np.count_nonzero(grid):
             raise ValueError(f"row {t} has nonzero cells outside its light cone")
-        return Configuration(n, dimension, origin, cone.copy())
+        return Configuration(n, dimension, (-radius * t,) * dimension, cone.copy())
 
     rows = []
     if dimension == 1:
@@ -158,7 +160,7 @@ def parse_pattern_text(text: str) -> ParsedPattern:
                 raise ValueError(f"block {t} has shape {grid.shape}, expected {(width, width)}")
             rows.append(crop(grid, t))
     else:
-        raise ValueError("pattern text format supports D <= 2")
+        raise ValueError(FORMAT_LIMITS["text"])
     origin_state = int(rows[0].cells.flat[0])
     if origin_state != seed:
         raise ValueError(f"row 0 holds {origin_state} at the origin, header says seed={seed}")
@@ -189,20 +191,15 @@ def render_image(pattern: Pattern, path) -> list[Path]:
     check_dimension(pattern.dimension, "pgm")
     path = Path(path)
     n = pattern.modulus
-    radius = rule_radius(pattern.rule)
-    reach = radius * pattern.t_max
+    pixels = _paint(pattern, 255, np.uint8, lambda row: state_pixels(row, n))
     if pattern.dimension == 1:
-        image = np.full((pattern.t_max + 1, 2 * reach + 1), 255, dtype=np.uint8)
-        for t, row in enumerate(pattern.cells):
-            image[t, reach - radius * t:reach + radius * t + 1] = state_pixels(row, n)
-        write_pgm(path, image)
+        write_pgm(path, pixels)
         return [path]
     digits = max(3, len(str(pattern.t_max)))
     suffix = path.suffix or ".pgm"
     written = []
-    for t, row in enumerate(pattern.cells):
-        frame = np.pad(row, reach - radius * t)
+    for t, frame in enumerate(pixels):
         frame_path = path.with_name(f"{path.stem}_t{t:0{digits}d}{suffix}")
-        write_pgm(frame_path, state_pixels(frame, n))
+        write_pgm(frame_path, frame)
         written.append(frame_path)
     return written

@@ -33,6 +33,14 @@ def check_residue(value: int, n: int) -> int:
     return value
 
 
+def check_seed(a: int, n: int) -> int:
+    """Validate a single-site seed: a residue in [1, n)."""
+    check_residue(a, n)
+    if a == 0:
+        raise ValueError("seed must be nonzero")
+    return a
+
+
 def gcd(x: int, y: int) -> int:
     """Greatest common divisor of two nonnegative integers; gcd(x, 0) == x."""
     if x < 0 or y < 0:

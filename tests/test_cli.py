@@ -184,6 +184,16 @@ def test_verify_search_lists_witnesses():
     assert "witness 0->0 1->2 2->4 3->1 4->3" in out
 
 
+def test_verify_search_refuses_before_writing(capsys):
+    code = cli.main([
+        "verify", "--states", "11", "--seed-a", "1", "--seed-b", "2", "--steps", "16", "--search",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: reachable-state sets exceed the search bound (8)\n"
+
+
 @pytest.mark.parametrize(
     "seeds, message",
     [

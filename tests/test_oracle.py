@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from linca.engine import evolve, reachable_states
+from linca.engine import Pattern, evolve, reachable_states
 from linca.equiv import StateMap, seed_map, seed_pair_map, verify_isomorphism
-from linca.oracle import binomial_parity_row, naive_cell, search_state_maps
+from linca.oracle import (
+    T_BOUND,
+    binomial_parity_row,
+    first_disagreement,
+    naive_cell,
+    search_state_maps,
+)
 from linca.rule import parse_rule
 
 
@@ -90,6 +96,17 @@ def test_search_requires_matching_horizons(rule90):
         search_state_maps(evolve(3, rule90, 1, 5), evolve(3, rule90, 2, 6))
 
 
+def test_search_refuses_a_rule_mismatch_with_verifys_message(rule90, rule_2d):
+    p = evolve(5, rule90, 1, 4)
+    for other in (parse_rule("1@(-2);1@(2)"), rule_2d):
+        q = evolve(5, other, 2, 4)
+        with pytest.raises(ValueError) as searched:
+            search_state_maps(p, q)
+        with pytest.raises(ValueError) as verified:
+            verify_isomorphism(p, q, seed_map(5, 1, 2))
+        assert str(searched.value) == str(verified.value) == "patterns must share the transition rule"
+
+
 def test_constructed_maps_appear_among_witnesses(rule90):
     for n, a, a_hat in ((5, 1, 3), (6, 2, 4), (8, 3, 5)):
         p = evolve(n, rule90, a, 12)
@@ -133,3 +150,27 @@ def test_seed_map_matches_oracle_search_on_prime_modulus(rule90):
     constructed = seed_map(5, 2, 3)
     witnesses = search_state_maps(p, q)
     assert constructed.restricted(reachable_states(p)).table in [w.table for w in witnesses]
+
+
+def doctored(pattern, t, site):
+    """The pattern with the cell at (t, site) moved to the next state."""
+    cells = list(pattern.cells)
+    row = cells[t].copy()
+    index = tuple(i + row.shape[0] // 2 for i in site)  # row t is centred on the origin
+    row[index] = (row[index] + 1) % pattern.modulus
+    cells[t] = row
+    return Pattern(pattern.modulus, pattern.rule, pattern.seed, tuple(cells))
+
+
+def test_first_disagreement_finds_nothing_on_engine_patterns(rule90, rule_2d):
+    assert first_disagreement(evolve(6, rule90, 4, 25)) is None
+    assert first_disagreement(evolve(7, parse_rule("1@(-1);2@(0);3@(1)"), 5, 12)) is None
+    assert first_disagreement(evolve(5, rule_2d, 3, 5)) is None
+
+
+def test_first_disagreement_reports_a_doctored_cell(rule90, rule_2d):
+    assert first_disagreement(doctored(evolve(6, rule90, 4, 9), 7, (-3,))) == (7, (-3,))
+    assert first_disagreement(doctored(evolve(5, rule_2d, 3, 5), 4, (1, -2))) == (4, (1, -2))
+    # rows past the oracle's bound are not walked
+    beyond = doctored(evolve(3, rule90, 1, T_BOUND + 2), T_BOUND + 1, (2,))
+    assert first_disagreement(beyond) is None

@@ -129,6 +129,13 @@ def test_render_image_matches_the_padded_grid(n, tmp_path):
         height, width = grid.shape
         expected = f"P5\n{width} {height}\n255\n".encode("ascii") + state_pixels(grid, n).tobytes()
         assert out.read_bytes() == expected
+    pattern = evolve(n, parse_rule("1@(-1,0);2@(0,1);3@(1,1)", dimension=2), n - 1, 5)
+    frames = render_image(pattern, out)
+    assert len(frames) == pattern.t_max + 1
+    for frame, grid in zip(frames, padded_rows(pattern)):
+        width = grid.shape[0]
+        expected = f"P5\n{width} {width}\n255\n".encode("ascii") + state_pixels(grid, n).tobytes()
+        assert frame.read_bytes() == expected
 
 
 def test_render_image_mod2(tmp_path, rule90):

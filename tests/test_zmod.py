@@ -1,6 +1,10 @@
 import pytest
 
-from linca.zmod import gcd, inverse, units
+from linca.engine import evolve, single_site_seed
+from linca.equiv import canonicalize, seed_pair_map
+from linca.oracle import cell_oracle, naive_cell
+from linca.rule import parse_rule
+from linca.zmod import check_seed, gcd, inverse, units
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -55,3 +59,28 @@ def test_inverse_rejects_non_unit():
         inverse(2, 4)
     with pytest.raises(ValueError, match="no inverse"):
         inverse(0, 6)
+
+
+def raised(call) -> str:
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("a", [0, 7, -1], ids=["zero", "n", "negative"])
+def test_every_seed_check_gives_check_seeds_message(a):
+    n, rule = 7, parse_rule("1@(-1);1@(1)")
+
+    def open_oracle():
+        with cell_oracle(n, rule, a):
+            pass
+
+    expected = raised(lambda: check_seed(a, n))
+    assert expected == ("seed must be nonzero" if a == 0 else f"residue {a} out of range [0, {n})")
+    assert raised(lambda: single_site_seed(n, 1, a)) == expected
+    assert raised(lambda: evolve(n, rule, a, 3)) == expected
+    assert raised(lambda: canonicalize(n, a)) == expected
+    assert raised(lambda: seed_pair_map(n, a, 1)) == expected
+    assert raised(lambda: seed_pair_map(n, 1, a)) == expected
+    assert raised(lambda: naive_cell(n, rule, a, 2, 0)) == expected
+    assert raised(open_oracle) == expected
