@@ -15,12 +15,12 @@ rule = parse_rule("1@(-1);1@(1)")
 pattern = evolve(2, rule, 1, 64)
 
 print("first 16 rows (time flows downward):")
-for row in pattern.rows[:16]:
-    cells = {site: v for site, v in row.to_dict().items()}
-    print("".join("#" if cells.get(i) else " " for i in range(-16, 17)))
+# row t holds sites -t..t; centering it on 33 columns shows sites -16..16
+for row in pattern.cells[:16]:
+    print("".join("#" if v else " " for v in row.tolist()).center(33))
 
 mismatches = sum(
-    list(row.cells) != binomial_parity_row(t) for t, row in enumerate(pattern.rows)
+    row.tolist() != binomial_parity_row(t) for t, row in enumerate(pattern.cells)
 )
 print(f"\nrows disagreeing with the binomial recomputation: {mismatches} of 65")
 

@@ -2,17 +2,11 @@
 
 Exact evolution over Z/nZ, constructive reduction of any seed a to the
 canonical pair (n/gcd(n, a), 1), and machine-checked certificates that two
-spatio-temporal patterns are state-isomorphic over a finite horizon.
+spatio-temporal patterns are state-isomorphic over a finite horizon. Every
+row is a plain int64 array on its light cone, as stored in ``Pattern.cells``.
 """
 
-from .engine import (
-    Configuration,
-    Pattern,
-    evolve,
-    reachable_states,
-    single_site_seed,
-    step,
-)
+from .engine import Pattern, evolve, reachable_states, single_site_seed
 from .equiv import (
     Certificate,
     SeedClass,
@@ -40,7 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Certificate",
-    "Configuration",
     "Pattern",
     "RuleSyntaxError",
     "RuleTerm",
@@ -66,7 +59,6 @@ __all__ = [
     "seed_map",
     "seed_pair_map",
     "single_site_seed",
-    "step",
     "units",
     "verify_isomorphism",
 ]

@@ -66,16 +66,17 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 def cmd_canon(args: argparse.Namespace) -> int:
     rule = parse_rule(args.rule, args.dim)
     r, reduction = canonicalize(args.states, args.seed)
-    print(f"r={r} d={args.states // r}")
-    sys.stdout.write(format_map_lines(reduction))
-    if args.certify:
+    certificate = None
+    if args.certify:  # evolve first: a refused run must leave nothing on stdout
         source = evolve(args.states, rule, args.seed, args.steps)
         target = evolve(r, rule, 1, args.steps)
         certificate = verify_isomorphism(source, target, reduction)
-        sys.stdout.write(certificate.serialize())
-        if not certificate.verified:
-            return EXIT_FALSIFIED
-    return EXIT_OK
+    print(f"r={r} d={args.states // r}")
+    sys.stdout.write(format_map_lines(reduction))
+    if certificate is None:
+        return EXIT_OK
+    sys.stdout.write(certificate.serialize())
+    return EXIT_OK if certificate.verified else EXIT_FALSIFIED
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -119,16 +120,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print("error: rules file contains no rules", file=sys.stderr)
         return EXIT_USAGE
 
-    print(f"sweep v1 states-max={args.states_max} steps={args.steps}")
+    # the report is written once, whole: a refused sweep leaves nothing on stdout
+    report = [f"sweep v1 states-max={args.states_max} steps={args.steps}"]
     any_falsified = False
     for rule in rules:
-        print(f'rule "{format_rule(rule)}"')
+        report.append(f'rule "{format_rule(rule)}"')
         for n in range(2, args.states_max + 1):
             for seed_class in equivalence_classes(n, rule, args.steps):
                 status = "verified" if seed_class.verified else "falsified"
                 any_falsified = any_falsified or not seed_class.verified
                 seeds = ",".join(str(a) for a in seed_class.seeds)
-                print(f"n={n} r={seed_class.canonical_modulus} seeds={seeds} status={status}")
+                r = seed_class.canonical_modulus
+                report.append(f"n={n} r={r} seeds={seeds} status={status}")
+    sys.stdout.write("\n".join(report) + "\n")
     return EXIT_FALSIFIED if any_falsified else EXIT_OK
 
 

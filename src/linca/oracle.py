@@ -18,7 +18,7 @@ from operator import add
 
 import numpy as np
 
-from .engine import Pattern, _site_tuple, check_comparable, reachable_states
+from .engine import Pattern, check_comparable, reachable_states
 from .equiv import StateMap
 from .rule import TransitionRule, rule_radius
 from .zmod import check_seed
@@ -26,6 +26,15 @@ from .zmod import check_seed
 T_BOUND = 20
 PARITY_T_BOUND = 64
 SEARCH_BOUND = 8
+
+
+def _site_tuple(site, dimension: int) -> tuple[int, ...]:
+    if isinstance(site, (int, np.integer)):
+        site = (site,)
+    site = tuple(int(x) for x in site)
+    if len(site) != dimension:
+        raise ValueError(f"site {site} has arity {len(site)}, expected {dimension}")
+    return site
 
 
 def naive_cell(n: int, rule: TransitionRule, a: int, t: int, site) -> int:

@@ -17,8 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import Configuration, Pattern
+from .engine import Pattern
 from .rule import rule_radius
+from .zmod import check_modulus
 
 TEXT_MAGIC = "linca-pattern v1"
 HEADER_FIELDS = ("dim", "n", "seed", "tmax", "radius")
@@ -90,23 +91,24 @@ def pattern_to_text(pattern: Pattern) -> str:
 
 
 class ParsedPattern(NamedTuple):
-    """Header fields and reconstructed rows of a pattern text stream."""
+    """Header fields and rows of a pattern text stream, laid out as ``Pattern.cells``."""
 
     modulus: int
     seed: int
     t_max: int
     radius: int
     dimension: int
-    rows: tuple[Configuration, ...]
+    cells: tuple[np.ndarray, ...]
 
 
 def parse_pattern_text(text: str) -> ParsedPattern:
-    """Inverse of pattern_to_text; recovers the original per-row boxes exactly.
+    """Inverse of pattern_to_text; recovers the pattern's light-cone rows exactly.
 
-    Row t is cropped back to [-radius*t, radius*t]^D, which loses nothing
-    because support growth confines nonzero cells to that box; a stream
-    with a nonzero cell outside it, or whose row 0 is not the header's
-    seed, is refused.
+    Row t is cropped back to [-radius*t, radius*t]^D, the layout of
+    ``Pattern.cells[t]``, which loses nothing because support growth
+    confines nonzero cells to that box. A stream is refused when its header
+    modulus is out of range, a row has a nonzero cell outside that box or a
+    cell outside [0, n), or row 0 is not the header's seed.
     """
     lines = text.splitlines()
     if not lines or not lines[0].startswith(TEXT_MAGIC + " "):
@@ -123,14 +125,20 @@ def parse_pattern_text(text: str) -> ParsedPattern:
         raise ValueError(f"pattern header needs tmax, radius >= 0, got {t_max}, {radius}")
     if not 1 <= seed < n:
         raise ValueError(f"pattern header needs seed in [1, n), got seed={seed} n={n}")
+    check_modulus(n)
     reach = radius * t_max
     width = 2 * reach + 1
 
-    def crop(grid: np.ndarray, t: int) -> Configuration:
+    def ints(line: str) -> list[int]:  # clipped to [-1, n]: out of range stays out, fits int64
+        return [min(max(int(v), -1), n) for v in line.split()]
+
+    def crop(grid: np.ndarray, t: int) -> np.ndarray:
         cone = grid[_cone(t, radius, reach, dimension)]
         if np.count_nonzero(cone) != np.count_nonzero(grid):
             raise ValueError(f"row {t} has nonzero cells outside its light cone")
-        return Configuration(n, dimension, (-radius * t,) * dimension, cone.copy())
+        if cone.min() < 0 or cone.max() >= n:
+            raise ValueError("cell values must be reduced to [0, n)")
+        return cone.copy()
 
     rows = []
     if dimension == 1:
@@ -138,7 +146,7 @@ def parse_pattern_text(text: str) -> ParsedPattern:
         if len(body) != t_max + 1:
             raise ValueError(f"expected {t_max + 1} rows, found {len(body)}")
         for t, line in enumerate(body):
-            values = np.array([int(v) for v in line.split()], dtype=np.int64)
+            values = np.array(ints(line), dtype=np.int64)
             if values.size != width:
                 raise ValueError(f"row {t} has {values.size} cells, expected {width}")
             rows.append(crop(values, t))
@@ -155,13 +163,13 @@ def parse_pattern_text(text: str) -> ParsedPattern:
         if len(blocks) != t_max + 1:
             raise ValueError(f"expected {t_max + 1} blocks, found {len(blocks)}")
         for t, block in enumerate(blocks):
-            grid = np.array([[int(v) for v in line.split()] for line in block], dtype=np.int64)
+            grid = np.array([ints(line) for line in block], dtype=np.int64)
             if grid.shape != (width, width):
                 raise ValueError(f"block {t} has shape {grid.shape}, expected {(width, width)}")
             rows.append(crop(grid, t))
     else:
         raise ValueError(FORMAT_LIMITS["text"])
-    origin_state = int(rows[0].cells.flat[0])
+    origin_state = int(rows[0].flat[0])
     if origin_state != seed:
         raise ValueError(f"row 0 holds {origin_state} at the origin, header says seed={seed}")
     return ParsedPattern(n, seed, t_max, radius, dimension, tuple(rows))

@@ -14,7 +14,7 @@ from conftest import run_cli
 from linca.engine import evolve, reachable_states
 from linca.equiv import canonicalize, seed_map, seed_pair_map, verify_isomorphism
 from linca.oracle import binomial_parity_row, naive_cell, search_state_maps
-from linca.rule import parse_rule
+from linca.rule import parse_rule, rule_radius
 from linca.zmod import gcd, units
 
 RULES_1D = [
@@ -48,8 +48,8 @@ def test_criterion_1_scaling_law_suite():
             unit = evolve(n, rule, 1, t_max)
             for a in range(1, n):
                 seeded = evolve(n, rule, a, t_max)
-                for t, (row_a, row_1) in enumerate(zip(seeded.rows, unit.rows)):
-                    if not np.array_equal(row_a.cells, (a * row_1.cells) % n):
+                for t, (row_a, row_1) in enumerate(zip(seeded.cells, unit.cells)):
+                    if not np.array_equal(row_a, (a * row_1) % n):
                         problems.append((rule, n, a, t))
     _finish(1, "scaling law", started, problems, budget=10.0)
 
@@ -75,13 +75,14 @@ def test_criterion_3_oracle_equivalence():
     started = time.perf_counter()
     problems = []
     for rule in RULES_1D:
+        radius = rule_radius(rule)
         for n in range(2, 9):
             patterns = {a: evolve(n, rule, a, 12) for a in range(1, n)}
             for a, pattern in patterns.items():
-                for t, row in enumerate(pattern.rows):
-                    for offset in range(row.cells.shape[0]):
-                        site = offset + row.origin[0]
-                        if int(row.cells[offset]) != naive_cell(n, rule, a, t, site):
+                for t, row in enumerate(pattern.cells):
+                    for offset in range(row.shape[0]):
+                        site = offset - radius * t
+                        if int(row[offset]) != naive_cell(n, rule, a, t, site):
                             problems.append(("cell", rule, n, a, t, site))
             classes: dict[int, list[int]] = {}
             for a in range(1, n):
@@ -103,8 +104,8 @@ def test_criterion_4_parity_triangle_reproduction():
     started = time.perf_counter()
     problems = []
     pattern = evolve(2, RULE90, 1, 64)
-    for t, row in enumerate(pattern.rows):
-        if list(row.cells) != binomial_parity_row(t):
+    for t, row in enumerate(pattern.cells):
+        if list(row) != binomial_parity_row(t):
             problems.append(t)
     _finish(4, "parity triangle", started, problems, budget=1.0)
 

@@ -121,6 +121,14 @@ CASES = {
     "error-bad-rules-line": (
         ["sweep", "--states-max", "4", "--rules", RULES_FILE], "1@(-1);1@(1)\n1@(\n"),
     "error-empty-rules-file": (["sweep", "--states-max", "4", "--rules", RULES_FILE], "\n\n"),
+    "error-canon-negative-steps": (
+        ["canon", "--states", "6", "--seed", "4", "--certify", "--steps", "-1"], None),
+    "error-canon-dimension": (
+        ["canon", "--states", "6", "--seed", "4", "--certify", "--dim", "4",
+         "--rule", "1@(1,0,0,0)"], None),
+    "error-sweep-negative-steps": (
+        ["sweep", "--states-max", "4", "--rules", RULES_FILE, "--steps", "-1"],
+        "1@(-1);1@(1)\n"),
 }
 
 

@@ -3,13 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linca.engine import (
-    Configuration,
-    evolve,
-    reachable_states,
-    single_site_seed,
-    step,
-)
+from linca.engine import _advance, evolve, reachable_states, single_site_seed
 from linca.oracle import naive_cell
 from linca.rule import make_rule, parse_rule, rule_radius
 from linca.zmod import MAX_MODULUS
@@ -17,13 +11,13 @@ from linca.zmod import MAX_MODULUS
 
 def test_single_site_seed_one_dimensional():
     seed = single_site_seed(3, 1, 2)
-    assert seed.to_dict() == {0: 2}
-    assert seed.box == ((0, 0),)
+    assert seed.tolist() == [2]
+    assert seed.shape == (1,)
 
 
 def test_single_site_seed_two_dimensional():
     seed = single_site_seed(5, 2, 4)
-    assert seed.to_dict() == {(0, 0): 4}
+    assert seed.tolist() == [[4]]
 
 
 def test_single_site_seed_rejects_zero():
@@ -39,51 +33,44 @@ def test_single_site_seed_rejects_out_of_range():
 
 
 def test_step_spreads_the_seed(rule90):
-    after = step(single_site_seed(2, 1, 1), rule90)
-    assert after.to_dict() == {-1: 1, 1: 1}
+    after = _advance(single_site_seed(2, 1, 1), rule90, 2, 1)
+    assert after.tolist() == [1, 0, 1]
 
 
 def test_step_sums_overlapping_terms(rule90):
-    two_cells = step(single_site_seed(5, 1, 1), rule90)
-    assert two_cells.to_dict() == {-1: 1, 1: 1}
-    after = step(two_cells, rule90)
-    assert after.to_dict() == {-2: 1, 0: 2, 2: 1}
+    two_cells = _advance(single_site_seed(5, 1, 1), rule90, 5, 1)
+    assert two_cells.tolist() == [1, 0, 1]
+    after = _advance(two_cells, rule90, 5, 1)
+    assert after.tolist() == [1, 0, 2, 0, 1]
 
 
 def test_step_identity_rule():
     identity = parse_rule("1@(0)")
-    config = step(single_site_seed(7, 1, 3), parse_rule("1@(-1);1@(1)"))
-    again = step(config, identity)
-    assert again.to_dict() == config.to_dict()
-    assert again.box == config.box
+    row = _advance(single_site_seed(7, 1, 3), parse_rule("1@(-1);1@(1)"), 7, 1)
+    again = _advance(row, identity, 7, rule_radius(identity))
+    assert again.tolist() == row.tolist()
+    assert again.shape == row.shape
 
 
 def test_step_zero_configuration_is_fixed(rule90):
-    zero = Configuration(5, 1, (-1,), np.zeros(3, dtype=np.int64))
-    assert step(zero, rule90).to_dict() == {}
-
-
-def test_step_requires_matching_dimension(rule90, rule_2d):
-    with pytest.raises(ValueError, match="dimension"):
-        step(single_site_seed(3, 2, 1), rule90)
-    with pytest.raises(ValueError, match="dimension"):
-        step(single_site_seed(3, 1, 1), rule_2d)
+    zero = np.zeros(3, dtype=np.int64)
+    assert np.count_nonzero(_advance(zero, rule90, 5, 1)) == 0
 
 
 def test_evolve_mod2_center_cancels(rule90):
     pattern = evolve(2, rule90, 1, 2)
-    assert pattern.rows[2].to_dict() == {-2: 1, 2: 1}
+    assert pattern.cells[2].tolist() == [1, 0, 0, 0, 1]
 
 
 def test_evolve_mod3_keeps_center(rule90):
     pattern = evolve(3, rule90, 1, 2)
-    assert pattern.rows[2].to_dict() == {-2: 1, 0: 2, 2: 1}
+    assert pattern.cells[2].tolist() == [1, 0, 2, 0, 1]
 
 
 def test_evolve_zero_steps(rule90):
     pattern = evolve(4, rule90, 3, 0)
     assert pattern.t_max == 0
-    assert pattern.rows[0].to_dict() == {0: 3}
+    assert pattern.cells[0].tolist() == [3]
 
 
 def test_evolve_rejects_negative_horizon(rule90):
@@ -96,19 +83,21 @@ def test_row_boxes_follow_the_light_cone():
         rule = parse_rule(text)
         radius = rule_radius(rule)
         pattern = evolve(5, rule, 1, 6)
-        for t, row in enumerate(pattern.rows):
-            assert row.box == ((-radius * t, radius * t),)
+        for t, row in enumerate(pattern.cells):
+            assert row.shape == (2 * radius * t + 1,)
 
 
 def test_two_dimensional_cross_rule(rule_2d):
     pattern = evolve(3, rule_2d, 2, 1)
-    assert pattern.rows[1].to_dict() == {(-1, 0): 2, (0, -1): 2, (0, 1): 2, (1, 0): 2}
+    assert pattern.cells[1].tolist() == [[0, 2, 0], [2, 0, 2], [0, 2, 0]]
 
 
 def test_three_dimensional_step_works():
     rule = parse_rule("1@(-1,0,0);1@(1,0,0)", dimension=3)
     pattern = evolve(2, rule, 1, 2)
-    assert pattern.rows[2].to_dict() == {(-2, 0, 0): 1, (2, 0, 0): 1}
+    expected = np.zeros((5, 5, 5), dtype=np.int64)
+    expected[0, 2, 2] = expected[4, 2, 2] = 1  # sites (-2, 0, 0) and (2, 0, 0)
+    assert np.array_equal(pattern.cells[2], expected)
 
 
 def test_evolve_at_the_largest_modulus_matches_python_ints():
@@ -137,23 +126,13 @@ def test_reachable_states_identity_rule_has_no_zero():
 def test_evolve_is_reproducible(rule90):
     first = evolve(7, rule90, 4, 20)
     second = evolve(7, rule90, 4, 20)
-    for a, b in zip(first.rows, second.rows):
-        assert a.origin == b.origin
-        assert np.array_equal(a.cells, b.cells)
+    for a, b in zip(first.cells, second.cells):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
 
 
-def test_value_at_outside_box_is_zero(rule90):
-    row = evolve(3, rule90, 1, 3).rows[3]
-    assert row.value_at(99) == 0
-    assert row.value_at(-99) == 0
-
-
-configurations = st.integers(2, 10).flatmap(
-    lambda n: st.tuples(
-        st.just(n),
-        st.lists(st.integers(0, n - 1), min_size=1, max_size=9),
-        st.integers(-5, 5),
-    )
+rows = st.integers(2, 10).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), min_size=1, max_size=9))
 )
 
 rule_texts = st.sampled_from(
@@ -162,32 +141,30 @@ rule_texts = st.sampled_from(
 
 
 @settings(deadline=None)
-@given(configurations, st.lists(st.integers(0, 9), min_size=1, max_size=9), rule_texts)
-def test_step_is_linear(config_data, other_cells, rule_text):
-    n, cells, lo = config_data
+@given(rows, st.lists(st.integers(0, 9), min_size=1, max_size=9), rule_texts)
+def test_step_is_linear(row_data, other_cells, rule_text):
+    n, cells = row_data
     rule = parse_rule(rule_text)
+    radius = rule_radius(rule)
     width = max(len(cells), len(other_cells))
     u = np.zeros(width, dtype=np.int64)
     v = np.zeros(width, dtype=np.int64)
     u[: len(cells)] = cells
     v[: len(other_cells)] = [x % n for x in other_cells]
-    cu = Configuration(n, 1, (lo,), u)
-    cv = Configuration(n, 1, (lo,), v)
-    csum = Configuration(n, 1, (lo,), (u + v) % n)
-    stepped_sum = step(csum, rule)
-    expected = (step(cu, rule).cells + step(cv, rule).cells) % n
-    assert np.array_equal(stepped_sum.cells, expected)
+    stepped_sum = _advance((u + v) % n, rule, n, radius)
+    expected = (_advance(u, rule, n, radius) + _advance(v, rule, n, radius)) % n
+    assert np.array_equal(stepped_sum, expected)
 
 
 @settings(deadline=None)
-@given(configurations, st.integers(0, 9), rule_texts)
-def test_step_commutes_with_scaling(config_data, k, rule_text):
-    n, cells, lo = config_data
+@given(rows, st.integers(0, 9), rule_texts)
+def test_step_commutes_with_scaling(row_data, k, rule_text):
+    n, cells = row_data
     rule = parse_rule(rule_text)
+    radius = rule_radius(rule)
     u = np.array(cells, dtype=np.int64)
-    scaled = Configuration(n, 1, (lo,), (k * u) % n)
-    plain = Configuration(n, 1, (lo,), u)
-    assert np.array_equal(step(scaled, rule).cells, (k * step(plain, rule).cells) % n)
+    scaled = _advance((k * u) % n, rule, n, radius)
+    assert np.array_equal(scaled, (k * _advance(u, rule, n, radius)) % n)
 
 
 @settings(deadline=None)
@@ -197,8 +174,8 @@ def test_pattern_scales_with_the_seed(n, data, rule_text, t_max):
     rule = parse_rule(rule_text)
     seeded = evolve(n, rule, a, t_max)
     unit = evolve(n, rule, 1, t_max)
-    for row_a, row_1 in zip(seeded.rows, unit.rows):
-        assert np.array_equal(row_a.cells, (a * row_1.cells) % n)
+    for row_a, row_1 in zip(seeded.cells, unit.cells):
+        assert np.array_equal(row_a, (a * row_1) % n)
 
 
 @settings(deadline=None)
@@ -208,6 +185,6 @@ def test_support_stays_inside_the_light_cone(n, data, rule_text, t_max):
     rule = parse_rule(rule_text)
     radius = rule_radius(rule)
     pattern = evolve(n, rule, a, t_max)
-    for t, row in enumerate(pattern.rows):
-        for site in row.to_dict():
-            assert abs(site) <= radius * t
+    for t, row in enumerate(pattern.cells):
+        # row t stores sites -radius*t..radius*t, so every nonzero site lies in the cone
+        assert row.shape == (2 * radius * t + 1,)

@@ -246,5 +246,5 @@ def test_unit_seed_patterns_scale_cellwise(rule90):
         unit = evolve(n, rule90, 1, 24)
         for a in range(2, n):
             seeded = evolve(n, rule90, a, 24)
-            for row_a, row_1 in zip(seeded.rows, unit.rows):
-                assert np.array_equal(row_a.cells, (a * row_1.cells) % n)
+            for row_a, row_1 in zip(seeded.cells, unit.cells):
+                assert np.array_equal(row_a, (a * row_1) % n)

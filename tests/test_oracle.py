@@ -10,7 +10,7 @@ from linca.oracle import (
     naive_cell,
     search_state_maps,
 )
-from linca.rule import parse_rule
+from linca.rule import parse_rule, rule_radius
 
 
 def test_naive_cell_base_cases(rule90):
@@ -44,10 +44,11 @@ def test_engine_matches_oracle_on_sampled_grid(rules_1d):
         for n in (2, 5, 6):
             for a in (1, n - 1):
                 pattern = evolve(n, rule, a, 10)
-                for t, row in enumerate(pattern.rows):
-                    for site, _ in np.ndenumerate(row.cells):
-                        i = site[0] + row.origin[0]
-                        assert row.value_at(i) == naive_cell(n, rule, a, t, i)
+                radius = rule_radius(rule)
+                for t, row in enumerate(pattern.cells):
+                    for index, value in enumerate(row.tolist()):
+                        i = index - radius * t
+                        assert value == naive_cell(n, rule, a, t, i)
 
 
 def test_search_finds_the_doubling_witness(rule90):
@@ -140,8 +141,8 @@ def test_parity_row_bound():
 
 def test_parity_rows_match_the_engine(rule90):
     pattern = evolve(2, rule90, 1, 16)
-    for t, row in enumerate(pattern.rows):
-        assert list(row.cells) == binomial_parity_row(t)
+    for t, row in enumerate(pattern.cells):
+        assert list(row) == binomial_parity_row(t)
 
 
 def test_seed_map_matches_oracle_search_on_prime_modulus(rule90):

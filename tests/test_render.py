@@ -41,18 +41,18 @@ def test_text_round_trip_one_dimensional():
         pattern = evolve(n, parse_rule(text), a, t_max)
         parsed = parse_pattern_text(pattern_to_text(pattern))
         assert parsed.modulus == n and parsed.seed == a and parsed.t_max == t_max
-        assert len(parsed.rows) == len(pattern.rows)
-        for original, recovered in zip(pattern.rows, parsed.rows):
-            assert original.origin == recovered.origin
-            assert np.array_equal(original.cells, recovered.cells)
+        assert len(parsed.cells) == len(pattern.cells)
+        for original, recovered in zip(pattern.cells, parsed.cells):
+            assert original.shape == recovered.shape
+            assert np.array_equal(original, recovered)
 
 
 def test_text_round_trip_two_dimensional(rule_2d):
     pattern = evolve(3, rule_2d, 2, 4)
     parsed = parse_pattern_text(pattern_to_text(pattern))
-    for original, recovered in zip(pattern.rows, parsed.rows):
-        assert original.origin == recovered.origin
-        assert np.array_equal(original.cells, recovered.cells)
+    for original, recovered in zip(pattern.cells, parsed.cells):
+        assert original.shape == recovered.shape
+        assert np.array_equal(original, recovered)
 
 
 def test_parse_rejects_garbage():
@@ -78,9 +78,21 @@ def test_parse_rejects_garbage():
          "seed in [1, n), got seed=3 n=3"),
         ("linca-pattern v1 dim=1 n=2 seed=1 tmax=0 radius=1 extra=zz\n1\n",
          "unknown field extra"),
+        ("linca-pattern v1 dim=1 n=2 seed=1 tmax=1 radius=1\n0 1 0\n1 0 2\n",
+         "cell values must be reduced to [0, n)"),
+        ("linca-pattern v1 dim=1 n=3 seed=1 tmax=1 radius=1\n0 1 0\n1 -1 1\n",
+         "cell values must be reduced to [0, n)"),
+        ("linca-pattern v1 dim=1 n=99999999999 seed=1 tmax=0 radius=1\n1\n",
+         "modulus must be <="),
+        ("linca-pattern v1 dim=2 n=2 seed=1 tmax=1 radius=1\n"
+         "0 0 0\n0 1 0\n0 0 0\n\n0 1 0\n1 0 5\n0 1 0\n",
+         "cell values must be reduced to [0, n)"),
+        ("linca-pattern v1 dim=1 n=2 seed=1 tmax=1 radius=1\n0 1 0\n1 0 99999999999999999999\n",
+         "cell values must be reduced to [0, n)"),
     ],
     ids=["no-tmax", "negative-tmax", "negative-radius", "seed-mismatch", "outside-cone-1d",
-         "outside-cone-2d", "seed-zero", "seed-not-below-n", "unknown-field"],
+         "outside-cone-2d", "seed-zero", "seed-not-below-n", "unknown-field", "cell-equals-n",
+         "cell-negative", "modulus-too-large", "cell-out-of-range-2d", "cell-beyond-int64"],
 )
 def test_parse_rejects_malformed_streams(text, message):
     with pytest.raises(ValueError, match=re.escape(message)):
