@@ -105,8 +105,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         lines = Path(args.rules).read_text().splitlines()
     except OSError as err:
-        print(f"error: cannot read rules file: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"cannot read rules file: {err}") from None
     rules = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -114,11 +113,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         try:
             rules.append(parse_rule(line, args.dim))
         except ValueError as err:
-            print(f"error: rules file line {lineno}: {err}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"rules file line {lineno}: {err}") from None
     if not rules:
-        print("error: rules file contains no rules", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("rules file contains no rules")
 
     # the report is written once, whole: a refused sweep leaves nothing on stdout
     report = [f"sweep v1 states-max={args.states_max} steps={args.steps}"]

@@ -4,13 +4,14 @@ Both writers work on whole arrays, with no Python per cell. One painter
 stacks every row, in its light-cone window, into the final box: states
 (0 outside) for text, in the smallest unsigned type holding n-1, or uint8
 pixels (white outside) for PGM. Text peels decimal digits off with % 10
-and // 10 into bytes, a keep-mask drops leading zeros, and blocks (the
-whole stack in 1D, one per row in 2D) are joined by a blank line. PGM is
-one image in 1D and one frame per row in 2D. The reader crops rows back
-through the same window."""
+and // 10 into bytes, a keep-mask drops leading zeros, and ``_layout`` cuts
+the box into blocks joined by an empty line; the reader checks a stream
+against that layout, parses it into the same box and crops each row
+through its window. PGM is one image in 1D and one frame per row in 2D."""
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from pathlib import Path
 from typing import NamedTuple
@@ -28,7 +29,7 @@ FORMAT_LIMITS = {"text": "pattern text format supports D <= 2", "pgm": "render s
 
 def check_dimension(dimension: int, fmt: str) -> None:
     """Refuse a dimension the writer of ``fmt`` ("text" or "pgm") cannot lay out."""
-    if dimension > 2:
+    if not 1 <= dimension <= 2:
         raise ValueError(FORMAT_LIMITS[fmt])
 
 
@@ -46,6 +47,19 @@ def _paint(pattern: Pattern, fill: int, dtype, paint: Callable) -> np.ndarray:
     for t, row in enumerate(pattern.cells):
         box[(t,) + _cone(t, radius, reach, pattern.dimension)] = paint(row)
     return box
+
+
+def _layout(box_shape: tuple[int, ...]) -> tuple[int, int, int]:
+    """Text (blocks, lines per block, cells per line) of a box: 1 block in 1D, one per row in 2D."""
+    return (math.prod(box_shape[:-2]),) + box_shape[-2:]
+
+
+def _integer(token: str, name: str) -> int:
+    """int(token), refused with a message naming the token."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{name} is not an integer: {token!r}") from None
 
 
 def _text_lines(lines: np.ndarray, n: int) -> np.ndarray:
@@ -74,18 +88,15 @@ def _text_lines(lines: np.ndarray, n: int) -> np.ndarray:
 def pattern_to_text(pattern: Pattern) -> str:
     """Serialize a pattern (D <= 2): header plus zero-padded, centered rows.
 
-    Every row is padded to the final box [-radius*t_max, radius*t_max]^D.
-    In one dimension each row is one line; in two, each row is a block of
-    lines in row-major order and blocks are separated by a blank line.
+    Every row is padded to the final box [-radius*t_max, radius*t_max]^D,
+    which is written in the blocks of ``_layout``, cells in row-major order.
     """
     check_dimension(pattern.dimension, "text")
-    header = (
-        f"{TEXT_MAGIC} dim={pattern.dimension} n={pattern.modulus} "
-        f"seed={pattern.seed} tmax={pattern.t_max} radius={rule_radius(pattern.rule)}"
-    )
+    values = (pattern.dimension, pattern.modulus, pattern.seed, pattern.t_max,
+              rule_radius(pattern.rule))
+    header = " ".join([TEXT_MAGIC] + [f"{k}={v}" for k, v in zip(HEADER_FIELDS, values)])
     grid = _paint(pattern, 0, np.min_scalar_type(pattern.modulus - 1), lambda row: row)
-    # one dimension is one block whose lines are the rows; two is a block per row
-    blocks = [grid] if pattern.dimension == 1 else grid
+    blocks = grid.reshape(_layout(grid.shape))
     body = b"\n".join(_text_lines(block, pattern.modulus).tobytes() for block in blocks)
     return header + "\n" + body.decode("ascii")
 
@@ -104,74 +115,56 @@ class ParsedPattern(NamedTuple):
 def parse_pattern_text(text: str) -> ParsedPattern:
     """Inverse of pattern_to_text; recovers the pattern's light-cone rows exactly.
 
-    Row t is cropped back to [-radius*t, radius*t]^D, the layout of
-    ``Pattern.cells[t]``, which loses nothing because support growth
-    confines nonzero cells to that box. A stream is refused when its header
-    modulus is out of range, a row has a nonzero cell outside that box or a
-    cell outside [0, n), or row 0 is not the header's seed.
+    The body must hold exactly the blocks, lines and cells of ``_layout``,
+    counted before anything sized by the header is built. Row t is cropped
+    to [-radius*t, radius*t]^D, as ``Pattern.cells[t]``. Also refused: a
+    header field without ``=``, a header value or cell that is not an
+    integer, a modulus out of range, a nonzero cell outside its row's cone,
+    a cell outside [0, n), or a row 0 other than the header's seed.
     """
     lines = text.splitlines()
     if not lines or not lines[0].startswith(TEXT_MAGIC + " "):
         raise ValueError(f"not a {TEXT_MAGIC} stream")
-    fields = dict(part.split("=", 1) for part in lines[0].split()[2:])
+    parts = [part.partition("=") for part in lines[0][len(TEXT_MAGIC):].split()]
+    for key, equals, _ in parts:
+        if not equals:
+            raise ValueError(f"pattern header field {key} lacks '='")
+    fields = {key: value for key, _, value in parts}
     missing = [key for key in HEADER_FIELDS if key not in fields]
     if missing:
         raise ValueError(f"pattern header lacks {', '.join(missing)}")
     unknown = [key for key in fields if key not in HEADER_FIELDS]
     if unknown:
         raise ValueError(f"pattern header has unknown field {', '.join(unknown)}")
-    dimension, n, seed, t_max, radius = (int(fields[key]) for key in HEADER_FIELDS)
+    dimension, n, seed, t_max, radius = (_integer(fields[key], f"pattern header {key}")
+                                         for key in HEADER_FIELDS)
     if t_max < 0 or radius < 0:
         raise ValueError(f"pattern header needs tmax, radius >= 0, got {t_max}, {radius}")
     if not 1 <= seed < n:
         raise ValueError(f"pattern header needs seed in [1, n), got seed={seed} n={n}")
     check_modulus(n)
+    check_dimension(dimension, "text")
     reach = radius * t_max
-    width = 2 * reach + 1
-
-    def ints(line: str) -> list[int]:  # clipped to [-1, n]: out of range stays out, fits int64
-        return [min(max(int(v), -1), n) for v in line.split()]
-
-    def crop(grid: np.ndarray, t: int) -> np.ndarray:
+    shape = (t_max + 1,) + (2 * reach + 1,) * dimension
+    count, height, width = _layout(shape)
+    blocks = [[ln.split() for ln in b.split("\n")] for b in "\n".join(lines[1:]).split("\n\n")]
+    if len(blocks) != count:
+        raise ValueError(f"expected {count} blank-line-separated blocks, found {len(blocks)}")
+    for i, block in enumerate(blocks):
+        if len(block) != height or any(len(cells) != width for cells in block):
+            raise ValueError(f"block {i} is not {height} lines of {width} cells")
+    # clipped to [-1, n]: out of range stays out, fits int64
+    values = [min(max(_integer(v, "cell"), -1), n) for b in blocks for line in b for v in line]
+    rows = []
+    for t, grid in enumerate(np.array(values, dtype=np.int64).reshape(shape)):
         cone = grid[_cone(t, radius, reach, dimension)]
         if np.count_nonzero(cone) != np.count_nonzero(grid):
             raise ValueError(f"row {t} has nonzero cells outside its light cone")
         if cone.min() < 0 or cone.max() >= n:
             raise ValueError("cell values must be reduced to [0, n)")
-        return cone.copy()
-
-    rows = []
-    if dimension == 1:
-        body = lines[1:]
-        if len(body) != t_max + 1:
-            raise ValueError(f"expected {t_max + 1} rows, found {len(body)}")
-        for t, line in enumerate(body):
-            values = np.array(ints(line), dtype=np.int64)
-            if values.size != width:
-                raise ValueError(f"row {t} has {values.size} cells, expected {width}")
-            rows.append(crop(values, t))
-    elif dimension == 2:
-        blocks: list[list[str]] = [[]]
-        for line in lines[1:]:
-            if line.strip() == "":
-                if blocks[-1]:
-                    blocks.append([])
-            else:
-                blocks[-1].append(line)
-        if blocks and not blocks[-1]:
-            blocks.pop()
-        if len(blocks) != t_max + 1:
-            raise ValueError(f"expected {t_max + 1} blocks, found {len(blocks)}")
-        for t, block in enumerate(blocks):
-            grid = np.array([ints(line) for line in block], dtype=np.int64)
-            if grid.shape != (width, width):
-                raise ValueError(f"block {t} has shape {grid.shape}, expected {(width, width)}")
-            rows.append(crop(grid, t))
-    else:
-        raise ValueError(FORMAT_LIMITS["text"])
-    origin_state = int(rows[0].flat[0])
-    if origin_state != seed:
-        raise ValueError(f"row 0 holds {origin_state} at the origin, header says seed={seed}")
+        rows.append(cone.copy())
+    if rows[0].flat[0] != seed:
+        raise ValueError(f"row 0 holds {rows[0].flat[0]} at the origin, header says seed={seed}")
     return ParsedPattern(n, seed, t_max, radius, dimension, tuple(rows))
 
 

@@ -2,9 +2,18 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linca.engine import evolve
-from linca.render import parse_pattern_text, pattern_to_text, render_image, state_pixels
+from linca.render import (
+    HEADER_FIELDS,
+    TEXT_MAGIC,
+    parse_pattern_text,
+    pattern_to_text,
+    render_image,
+    state_pixels,
+)
 from linca.rule import parse_rule, rule_radius
 from linca.zmod import MAX_MODULUS
 
@@ -89,14 +98,93 @@ def test_parse_rejects_garbage():
          "cell values must be reduced to [0, n)"),
         ("linca-pattern v1 dim=1 n=2 seed=1 tmax=1 radius=1\n0 1 0\n1 0 99999999999999999999\n",
          "cell values must be reduced to [0, n)"),
+        ("linca-pattern v1 dim=2 n=2 seed=1 tmax=1 radius=1\n"
+         "0 0 0\n0 1 0\n0 0 0\n\n0 1 0\n1 0\n0 1 0\n",
+         "block 1 is not 3 lines of 3 cells"),
+        ("linca-pattern v1 dim=1 n=2 seed=1 tmax=1 radius=1\n0 1 0\n1 x 1\n",
+         "cell is not an integer: 'x'"),
+        ("linca-pattern v1 dim=1 n=2 seed=1 tmax=0 radius\n1\n",
+         "pattern header field radius lacks '='"),
+        ("linca-pattern v1 dim=1 n=two seed=1 tmax=0 radius=1\n1\n",
+         "pattern header n is not an integer: 'two'"),
+        ("linca-pattern v1 dim=0 n=2 seed=1 tmax=0 radius=1\n1\n",
+         "pattern text format supports D <= 2"),
+        ("linca-pattern v1 dim=1 n=2 seed=1 tmax=1 radius=1\n0 1 0\n\n1 0 1\n",
+         "expected 1 blank-line-separated blocks, found 2"),
+        ("linca-pattern v1 dim=2 n=2 seed=1 tmax=1 radius=1\n"
+         "0 0 0\n0 1 0\n0 0 0\n\n\n0 1 0\n1 0 1\n0 1 0\n",
+         "block 1 is not 3 lines of 3 cells"),
+        ("linca-pattern v1 dim=2 n=2 seed=1 tmax=1 radius=1\n"
+         "0 0 0\n0 1 0\n0 0 0\n\n0 1 0\n1 0 1\n0 1 0\n\n",
+         "block 1 is not 3 lines of 3 cells"),
+        ("linca-pattern v1 dim=2 n=2 seed=1 tmax=1 radius=1\n"
+         "0 0 0\n0 1 0\n\n0 0 0\n0 1 0\n1 0 1\n0 1 0\n",
+         "block 0 is not 3 lines of 3 cells"),
+        ("linca-pattern v1 dim=1 n=2 seed=1 tmax=1000000000000 radius=1\n1\n",
+         "block 0 is not 1000000000001 lines of 2000000000001 cells"),
     ],
     ids=["no-tmax", "negative-tmax", "negative-radius", "seed-mismatch", "outside-cone-1d",
          "outside-cone-2d", "seed-zero", "seed-not-below-n", "unknown-field", "cell-equals-n",
-         "cell-negative", "modulus-too-large", "cell-out-of-range-2d", "cell-beyond-int64"],
+         "cell-negative", "modulus-too-large", "cell-out-of-range-2d", "cell-beyond-int64",
+         "short-line-2d", "non-numeric-cell", "field-without-equals", "non-numeric-header",
+         "dim-zero", "blank-line-1d", "doubled-blank-line-2d", "trailing-blank-line-2d",
+         "lines-per-block-2d", "huge-tmax"],
 )
 def test_parse_rejects_malformed_streams(text, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         parse_pattern_text(text)
+
+
+HEADER_VALUES = {"dim": ["1", "2"], "n": ["2", "3"], "seed": ["1"], "tmax": ["0", "1", "2"],
+                 "radius": ["0", "1"]}
+BAD_VALUES = ["0", "3", "-1", "two", "1000000000000", "99999999999999999999"]
+BAD_CELLS = ["x", "2", "-1", "99999999999999999999"]
+BAD_LINES = ["", "x", "1 99999999999999999999 0", "0 0", "0 0 0 0"]
+
+
+@st.composite
+def pattern_texts(draw):
+    """A stream in the writer's layout with random 0/1 cells, then at most one header
+    fault (a field bare, missing or badly valued: dim 0 or 3, huge tmax, not an integer)
+    and at most one body fault (a bad cell, an extra blank or ragged line, a lost line)."""
+    values = {key: draw(st.sampled_from(choices)) for key, choices in HEADER_VALUES.items()}
+    dim, t_max, radius = (int(values[key]) for key in ("dim", "tmax", "radius"))
+    width = 2 * radius * t_max + 1
+    blocks, height = (t_max + 1, width) if dim == 2 else (1, t_max + 1)
+    size = blocks * height * width
+    bits = format(draw(st.integers(0, 2**size - 1)), f"0{size}b")
+    rows = [list(bits[k:k + width]) for k in range(0, size, width)]
+    lines = []  # token lists; [] is the empty line between blocks
+    for b in range(blocks):
+        lines += [[]] * (b > 0) + rows[b * height:(b + 1) * height]
+    header = [f"{key}={value}" for key, value in values.items()]
+    i = draw(st.integers(0, len(header) - 1))
+    header_fault = draw(st.sampled_from([None, "bare", "missing", "value"]))
+    if header_fault == "bare":
+        header[i] = HEADER_FIELDS[i]
+    elif header_fault == "missing":
+        del header[i]
+    elif header_fault == "value":
+        header[i] = f"{HEADER_FIELDS[i]}={draw(st.sampled_from(BAD_VALUES))}"
+    j = draw(st.integers(0, len(lines) - 1))
+    body_fault = draw(st.sampled_from([None, "cell", "add", "lose"]))
+    if body_fault == "cell" and lines[j]:
+        lines[j][draw(st.integers(0, width - 1))] = draw(st.sampled_from(BAD_CELLS))
+    elif body_fault == "add":
+        lines.insert(j, draw(st.sampled_from(BAD_LINES)).split())
+    elif body_fault == "lose":
+        del lines[j]
+    body = "".join(" ".join(line) + "\n" for line in lines)
+    return " ".join([TEXT_MAGIC] + header) + "\n" + body
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=pattern_texts())
+def test_parse_refuses_malformed_text_only_with_value_error(text):
+    try:
+        parse_pattern_text(text)
+    except ValueError:
+        pass
 
 
 def padded_rows(pattern):
@@ -129,6 +217,10 @@ def test_pattern_text_matches_per_cell_text(n, t_max, rule_2d):
         for a in sorted({1, n // 3 or 1, n - 1}):
             pattern = evolve(n, rule, a, t_max)
             assert pattern_to_text(pattern) == per_cell_text(pattern)
+            recovered = parse_pattern_text(pattern_to_text(pattern)).cells
+            assert len(recovered) == len(pattern.cells)
+            for original, parsed in zip(pattern.cells, recovered):
+                assert np.array_equal(original, parsed)
 
 
 @pytest.mark.parametrize("n", [2, 10, 11, 101, MAX_MODULUS])
