@@ -14,7 +14,9 @@ are the package's only row type, the seed and the text reader's included.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -34,37 +36,59 @@ def single_site_seed(n: int, dimension: int, a: int) -> np.ndarray:
     return np.full((1,) * dimension, a, dtype=np.int64)
 
 
-def _advance(cells: np.ndarray, rule: TransitionRule, n: int, radius: int) -> np.ndarray:
-    """out[i] = sum_j c_j * in[i + v_j] mod n on the input box grown by radius.
+def _kernel(rule: TransitionRule, n, radius: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The step out[i] = sum_j c_j * in[i + v_j] mod n on the trailing D axes, grown by radius.
 
-    The grown box covers every site where a nonzero cell can appear.
-    Coefficients are reduced mod n here (floor-mod, result in [0, n)), so
-    each term adds at most c_j * (n-1) to a cell. ``bound`` tracks that
-    running upper bound on ``acc``; the sum is reduced only when the next
-    term could carry it past INT64_MAX, and once at the end. Every product
-    c_j * in[i] is below n**2 <= 2**62, so a reduced ``acc`` (at most n-1)
-    always has room for one more term. For small n that is one ``%`` per
-    step instead of one per term.
+    ``n`` is one modulus or a column of them, one per batch row. Each c_j is reduced per
+    modulus once, so a term adds at most c_j * (max n - 1) to a cell; ``bound`` tracks that
+    bound on ``acc``, which is reduced only when the next term could pass INT64_MAX (a product
+    c_j * in[i] is below n**2 <= 2**62, so a reduced ``acc`` has room for one more) and at the
+    end when the bound can reach the smallest modulus.
     """
-    in_shape = cells.shape
-    out_shape = tuple(extent + 2 * radius for extent in in_shape)
-    acc = np.zeros(out_shape, dtype=np.int64)
-    bound = 0
+    n = np.asarray(n, dtype=np.int64)
+    top = int(n.max()) - 1
+    terms, bound = [], 0
     for term in rule.terms:
-        c = term.coefficient % n
-        if c == 0:
+        c = np.asarray(term.coefficient % n.astype(object), dtype=np.int64)
+        if not c.any():
             continue
-        if bound + c * (n - 1) > INT64_MAX:
+        reduce_first = bound + int(c.max()) * top > INT64_MAX
+        bound = (top if reduce_first else bound) + int(c.max()) * top
+        terms.append((term.offset, c, reduce_first))
+    reduce_last = bound >= int(n.min())
+
+    def advance(cells: np.ndarray) -> np.ndarray:
+        in_shape = cells.shape[-rule.dimension:]
+        out_shape = cells.shape[:-rule.dimension] + tuple(e + 2 * radius for e in in_shape)
+        acc = np.zeros(out_shape, dtype=np.int64)
+        for offset, c, reduce_first in terms:
+            if reduce_first:
+                acc %= n
+            window = tuple(slice(radius - v, radius - v + e) for v, e in zip(offset, in_shape))
+            acc[(...,) + window] += c * cells
+        if reduce_last:
             acc %= n
-            bound = n - 1
-        window = tuple(
-            slice(radius - v, radius - v + extent) for v, extent in zip(term.offset, in_shape)
-        )
-        acc[window] += c * cells
-        bound += c * (n - 1)
-    if bound >= n:
-        acc %= n
-    return acc
+        return acc
+
+    return advance
+
+
+def _advance(cells: np.ndarray, rule: TransitionRule, n, radius: int) -> np.ndarray:
+    return _kernel(rule, n, radius)(cells)
+
+
+def evolve_rows(n, rule: TransitionRule, seeds, t_max: int) -> Iterator[np.ndarray]:
+    """Rows 0..t_max of single-site seeds by one ``_kernel`` per run, made as asked for.
+
+    A seed a under modulus n gives ``Pattern.cells`` rows; sequences give (S,) + cone rows.
+    """
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    shape = np.shape(seeds) + (1,) * rule.dimension
+    pairs = zip(np.asarray(n, dtype=object).flat, np.asarray(seeds, dtype=object).flat)
+    row = np.reshape([single_site_seed(m, rule.dimension, a) for m, a in pairs], shape)
+    advance = _kernel(rule, np.reshape(n, shape), rule_radius(rule))
+    return accumulate(range(t_max), lambda cells, _: advance(cells), initial=row)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,13 +124,7 @@ def check_comparable(p: Pattern, q: Pattern) -> None:
 
 def evolve(n: int, rule: TransitionRule, a: int, t_max: int) -> Pattern:
     """Evolve the single-site seed a for t_max steps."""
-    if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
-    radius = rule_radius(rule)
-    cells = [single_site_seed(n, rule.dimension, a)]
-    for _ in range(t_max):
-        cells.append(_advance(cells[-1], rule, n, radius))
-    return Pattern(n, rule, a, tuple(cells))
+    return Pattern(n, rule, a, tuple(evolve_rows(n, rule, a, t_max)))
 
 
 def reachable_states(pattern: Pattern) -> set[int]:

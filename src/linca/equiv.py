@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Pattern, check_comparable, evolve
+from .engine import Pattern, check_comparable, evolve_rows
 from .rule import TransitionRule, format_rule, rule_radius
 from .zmod import check_modulus, check_residue, check_seed, gcd, inverse
 
@@ -215,20 +215,32 @@ class SeedClass:
 def equivalence_classes(n: int, rule: TransitionRule, t_max: int) -> list[SeedClass]:
     """Partition the seeds 1..n-1 by canonical modulus r = n/gcd(n, a).
 
-    Each seed's reduction map is verified cell-wise against the actual
-    (r, 1) pattern, so every class carries one certificate per seed.
-    Classes are ordered by descending r (unit seeds first).
+    Each seed's reduction map is verified cell-wise against the actual (r, 1) pattern,
+    so every class carries one certificate per seed. Classes are ordered by descending
+    r (unit seeds first). The seeds and each target (r, 1), r < n, evolve as one batch,
+    each row under its own modulus (the target (n, 1) is seed 1's row), so the scaling
+    law under test is never assumed. Row t is checked by one gather, luts[seed, cell].
     """
     check_modulus(n)
-    by_r: dict[int, list[int]] = {}
-    for a in range(1, n):
-        by_r.setdefault(n // gcd(n, a), []).append(a)
-    classes = []
-    for r in sorted(by_r, reverse=True):
-        target = evolve(r, rule, 1, t_max)
-        certificates = []
-        for a in by_r[r]:
-            _, reduction = canonicalize(n, a)
-            certificates.append(verify_isomorphism(evolve(n, rule, a, t_max), target, reduction))
-        classes.append(SeedClass(r, tuple(by_r[r]), tuple(certificates)))
-    return classes
+    seeds = range(1, n)
+    reductions = [canonicalize(n, a) for a in seeds]
+    targets = sorted({r for r, _ in reductions} - {n})
+    target_rows = np.array([0 if r == n else n - 1 + targets.index(r) for r, _ in reductions])
+    luts = np.full((n - 1, n), -1, dtype=np.int64)  # -1 marks out-of-domain states
+    for lut, (_, f) in zip(luts, reductions):
+        lut[list(f.table)] = list(f.table.values())
+    offsets = np.arange(0, luts.size, n).reshape((-1,) + (1,) * rule.dimension)
+    radius = rule_radius(rule)
+    failures = [None] * (n - 1)
+    pending = np.ones(n - 1, dtype=bool)
+    rows = evolve_rows([n] * (n - 1) + targets, rule, [*seeds] + [1] * len(targets), t_max)
+    for t, row in enumerate(rows):
+        mismatch = luts.take(row[:n - 1] + offsets) != row[target_rows]
+        for i in np.flatnonzero(pending & mismatch.reshape(n - 1, -1).any(axis=1)):
+            failures[i] = (t, tuple(int(x) - radius * t for x in np.argwhere(mismatch[i])[0]))
+            pending[i] = False
+    by_r: dict[int, list[Certificate]] = {}
+    for a, (r, f), failure in zip(seeds, reductions, failures):
+        by_r.setdefault(r, []).append(Certificate(n, a, r, 1, rule, f, t_max, failure))
+    return [SeedClass(r, tuple(c.source_seed for c in by_r[r]), tuple(by_r[r]))
+            for r in sorted(by_r, reverse=True)]

@@ -12,18 +12,21 @@ through its window. PGM is one image in 1D and one frame per row in 2D."""
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Callable
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .engine import Pattern
+from .engine import INT64_MAX, Pattern
 from .rule import rule_radius
 from .zmod import check_modulus
 
 TEXT_MAGIC = "linca-pattern v1"
 HEADER_FIELDS = ("dim", "n", "seed", "tmax", "radius")
+CELL_RANGE = "cell values must be reduced to [0, n)"
+_SIGNED_DIGITS = re.compile(r"[+-]?[0-9]+")
 FORMAT_LIMITS = {"text": "pattern text format supports D <= 2", "pgm": "render supports D <= 2"}
 
 
@@ -54,12 +57,17 @@ def _layout(box_shape: tuple[int, ...]) -> tuple[int, int, int]:
     return (math.prod(box_shape[:-2]),) + box_shape[-2:]
 
 
-def _integer(token: str, name: str) -> int:
-    """int(token), refused with a message naming the token."""
+def _integer(token: str, name: str, out_of_range: str) -> int:
+    """int(token) within int64, else refused; a message echoes at most 20 characters."""
+    if len(token) > 20 and _SIGNED_DIGITS.fullmatch(token):  # int() stops at 4300 digits
+        raise ValueError(out_of_range)
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
-        raise ValueError(f"{name} is not an integer: {token!r}") from None
+        raise ValueError(f"{name} is not an integer: {token[:20]!r}") from None
+    if abs(value) > INT64_MAX:
+        raise ValueError(out_of_range)
+    return value
 
 
 def _text_lines(lines: np.ndarray, n: int) -> np.ndarray:
@@ -136,8 +144,9 @@ def parse_pattern_text(text: str) -> ParsedPattern:
     unknown = [key for key in fields if key not in HEADER_FIELDS]
     if unknown:
         raise ValueError(f"pattern header has unknown field {', '.join(unknown)}")
-    dimension, n, seed, t_max, radius = (_integer(fields[key], f"pattern header {key}")
-                                         for key in HEADER_FIELDS)
+    dimension, n, seed, t_max, radius = (
+        _integer(fields[key], f"pattern header {key}", f"pattern header {key} is out of range")
+        for key in HEADER_FIELDS)
     if t_max < 0 or radius < 0:
         raise ValueError(f"pattern header needs tmax, radius >= 0, got {t_max}, {radius}")
     if not 1 <= seed < n:
@@ -153,15 +162,14 @@ def parse_pattern_text(text: str) -> ParsedPattern:
     for i, block in enumerate(blocks):
         if len(block) != height or any(len(cells) != width for cells in block):
             raise ValueError(f"block {i} is not {height} lines of {width} cells")
-    # clipped to [-1, n]: out of range stays out, fits int64
-    values = [min(max(_integer(v, "cell"), -1), n) for b in blocks for line in b for v in line]
+    values = [_integer(v, "cell", CELL_RANGE) for b in blocks for line in b for v in line]
     rows = []
     for t, grid in enumerate(np.array(values, dtype=np.int64).reshape(shape)):
         cone = grid[_cone(t, radius, reach, dimension)]
         if np.count_nonzero(cone) != np.count_nonzero(grid):
             raise ValueError(f"row {t} has nonzero cells outside its light cone")
         if cone.min() < 0 or cone.max() >= n:
-            raise ValueError("cell values must be reduced to [0, n)")
+            raise ValueError(CELL_RANGE)
         rows.append(cone.copy())
     if rows[0].flat[0] != seed:
         raise ValueError(f"row 0 holds {rows[0].flat[0]} at the origin, header says seed={seed}")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linca.engine import _advance, evolve, reachable_states, single_site_seed
+from linca.engine import _advance, evolve, evolve_rows, reachable_states, single_site_seed
 from linca.oracle import naive_cell
 from linca.rule import make_rule, parse_rule, rule_radius
 from linca.zmod import MAX_MODULUS
@@ -110,6 +110,28 @@ def test_evolve_at_the_largest_modulus_matches_python_ints():
     for t, row in enumerate(pattern.cells):
         for index, value in enumerate(row.tolist()):
             assert value == naive_cell(n, rule, n - 1, t, index - radius * t)
+
+
+def test_a_batch_of_mixed_moduli_matches_per_row_evolve():
+    # at 2**31-1 the coefficients reduce to n-1..n-5, so every term needs its own
+    # reduction there; at 3 and 2 the sums stay small and only the final % reduces them
+    rule = make_rule([(-k, (k - 3,)) for k in range(1, 6)], dimension=1)
+    moduli = [MAX_MODULUS, 65537, 3, 2]
+    seeds = [m - 1 for m in moduli]
+    rows = list(evolve_rows(moduli, rule, seeds, 8))
+    for i, (m, a) in enumerate(zip(moduli, seeds)):
+        for t, row in enumerate(evolve(m, rule, a, 8).cells):
+            assert np.array_equal(rows[t][i], row), (m, t)
+            assert 0 <= rows[t][i].min() and rows[t][i].max() < m, (m, t)
+
+
+def test_a_term_vanishing_under_one_modulus_only():
+    rule = parse_rule("2@(-1);1@(1)")  # the first term is 0 mod 2, not mod 3
+    rows = list(evolve_rows([2, 3], rule, [1, 1], 6))
+    for i, m in enumerate((2, 3)):
+        for t, row in enumerate(evolve(m, rule, 1, 6).cells):
+            assert np.array_equal(rows[t][i], row)
+    assert rows[1].tolist() == [[1, 0, 0], [1, 0, 2]]
 
 
 def test_reachable_states_examples(rule90):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from conftest import FIXTURE_RULE_2D, FIXTURE_RULES_1D
 
+from linca import equiv
 from linca.engine import evolve, reachable_states
 from linca.equiv import (
     StateMap,
@@ -248,3 +250,56 @@ def test_unit_seed_patterns_scale_cellwise(rule90):
             seeded = evolve(n, rule90, a, 24)
             for row_a, row_1 in zip(seeded.cells, unit.cells):
                 assert np.array_equal(row_a, (a * row_1) % n)
+
+
+@pytest.mark.parametrize(
+    "rule_text, dimension, n_max, t_max",
+    [(text, 1, 40, 10) for text in FIXTURE_RULES_1D] + [(FIXTURE_RULE_2D, 2, 9, 6)],
+)
+def test_batched_certificates_match_the_per_seed_path(rule_text, dimension, n_max, t_max):
+    rule = parse_rule(rule_text, dimension)
+    for n in range(2, n_max + 1):
+        batched = [c for seed_class in equivalence_classes(n, rule, t_max)
+                   for c in seed_class.certificates]
+        assert sorted(c.source_seed for c in batched) == list(range(1, n))
+        for certificate in batched:
+            a = certificate.source_seed
+            r, reduction = canonicalize(n, a)
+            expected = verify_isomorphism(
+                evolve(n, rule, a, t_max), evolve(r, rule, 1, t_max), reduction
+            )
+            assert certificate.serialize() == expected.serialize(), (n, a)
+
+
+@pytest.mark.parametrize("rule_text, dimension, n, bad_seed", [
+    ("1@(-1);1@(0);1@(1)", 1, 12, 5),
+    (FIXTURE_RULE_2D, 2, 7, 3),
+])
+def test_a_wrong_map_falsifies_only_its_own_seed(monkeypatch, rule_text, dimension, n, bad_seed):
+    rule = parse_rule(rule_text, dimension)
+    t_max = 10
+    r, right = canonicalize(n, bad_seed)
+    target = evolve(r, rule, 1, t_max)
+    source = evolve(n, rule, bad_seed, t_max)
+    # swap the images of the last two nonzero states the seed reaches: a bijection
+    # that holds at t=0 and fails only where the first of them appears
+    order = [int(b) for row in source.cells for b in row.flat]
+    first_seen = sorted(set(order) - {0}, key=order.index)
+    b, c = first_seen[-2:]
+    table = dict(right.table)
+    table[b], table[c] = table[c], table[b]
+    wrong = StateMap(n, r, table)
+    expected = verify_isomorphism(source, target, wrong).failure
+    assert expected is not None and expected[0] > 0
+
+    real = equiv.canonicalize
+    monkeypatch.setattr(equiv, "canonicalize",
+                        lambda n_, a: (r, wrong) if (n_, a) == (n, bad_seed) else real(n_, a))
+    certificates = [c for seed_class in equivalence_classes(n, rule, t_max)
+                    for c in seed_class.certificates]
+    for certificate in certificates:
+        if certificate.source_seed == bad_seed:
+            assert certificate.failure == expected
+            assert certificate.map is wrong
+        else:
+            assert certificate.verified, certificate.source_seed

@@ -122,17 +122,33 @@ def test_parse_rejects_garbage():
          "block 0 is not 3 lines of 3 cells"),
         ("linca-pattern v1 dim=1 n=2 seed=1 tmax=1000000000000 radius=1\n1\n",
          "block 0 is not 1000000000001 lines of 2000000000001 cells"),
+        ("linca-pattern v1 dim=1 n=2 seed=1 tmax=1 radius=1\n0 1 0\n1 0 " + "9" * 5000 + "\n",
+         "cell values must be reduced to [0, n)"),
+        ("linca-pattern v1 dim=1 n=2 seed=1 tmax=" + "9" * 5000 + " radius=1\n1\n",
+         "pattern header tmax is out of range"),
     ],
     ids=["no-tmax", "negative-tmax", "negative-radius", "seed-mismatch", "outside-cone-1d",
          "outside-cone-2d", "seed-zero", "seed-not-below-n", "unknown-field", "cell-equals-n",
          "cell-negative", "modulus-too-large", "cell-out-of-range-2d", "cell-beyond-int64",
          "short-line-2d", "non-numeric-cell", "field-without-equals", "non-numeric-header",
          "dim-zero", "blank-line-1d", "doubled-blank-line-2d", "trailing-blank-line-2d",
-         "lines-per-block-2d", "huge-tmax"],
+         "lines-per-block-2d", "huge-tmax", "cell-5000-digits", "header-5000-digits"],
 )
 def test_parse_rejects_malformed_streams(text, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         parse_pattern_text(text)
+
+
+@pytest.mark.parametrize("header, cell", [
+    ("n=2", "-" + "9" * 5000), ("n=2", "0" * 5000 + "x"), ("n=" + "x" * 5000, "1"),
+    ("n=+" + "9" * 5000, "1"), ("n=-" + "0" * 5000 + "1", "1"), ("n=2", "1_0" * 10),
+], ids=["negative-cell", "junk-cell", "junk-header", "plus-signed-header", "zero-padded-header",
+        "underscored-cell"])
+def test_long_tokens_are_refused_with_a_short_message(header, cell):
+    text = f"linca-pattern v1 dim=1 {header} seed=1 tmax=0 radius=1\n{cell}\n"
+    with pytest.raises(ValueError) as refused:
+        parse_pattern_text(text)
+    assert len(str(refused.value)) < 80, str(refused.value)[:100]
 
 
 HEADER_VALUES = {"dim": ["1", "2"], "n": ["2", "3"], "seed": ["1"], "tmax": ["0", "1", "2"],
