@@ -3,7 +3,8 @@ verify pattern isomorphisms, and sweep seed partitions over many state
 counts.
 
 Commands only parse flags, call the library and write what it returns;
-a ValueError or OSError from the library is reported as exit 2.
+a ValueError, OSError or MemoryError from the library is reported as
+exit 2, with one ``error:`` line on stderr.
 
 Exit codes: 0 success/verified, 1 falsified, 2 usage or parse error,
 3 oracle disagreement, 4 seeds in incomparable canonical classes.
@@ -188,7 +189,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -163,6 +163,32 @@ class Certificate:
         )
 
 
+def _certify(rule: TransitionRule, t_max: int, claims, pairs) -> list[Certificate]:
+    """One certificate per claim (a, b, f) from its (mapped, target) rows t = 0..t_max.
+
+    Row t of S claims comes stacked as (S,) + cone; one claim may pass plain cone rows.
+    Each claim keeps its first failing (t, then lexicographic site); rows stop coming
+    once every claim has failed. Moduli are taken from each claim's map.
+    """
+    radius = rule_radius(rule)
+    failures = [None] * len(claims)
+    pending = np.ones(len(claims), dtype=bool)
+    for t, (mapped, target) in enumerate(pairs):
+        mismatch = mapped != target
+        if not mismatch.any():
+            continue
+        cone = mismatch.shape[-rule.dimension:]
+        flat = mismatch.reshape(len(claims), -1)
+        for i in np.flatnonzero(pending & flat.any(axis=1)):
+            index = np.unravel_index(flat[i].argmax(), cone)  # C order == lexicographic
+            failures[i] = (t, tuple(int(x) - radius * t for x in index))
+            pending[i] = False
+        if not pending.any():
+            break
+    return [Certificate(f.source_modulus, a, f.target_modulus, b, rule, f, t_max, failure)
+            for (a, b, f), failure in zip(claims, failures)]
+
+
 def verify_isomorphism(p: Pattern, q: Pattern, f: StateMap) -> Certificate:
     """Check f(p cell) == q cell on the light cone for every t <= t_max.
 
@@ -177,26 +203,8 @@ def verify_isomorphism(p: Pattern, q: Pattern, f: StateMap) -> Certificate:
 
     lut = np.full(p.modulus, -1, dtype=np.int64)  # -1 marks out-of-domain states
     lut[list(f.table)] = list(f.table.values())
-
-    radius = rule_radius(p.rule)
-    failure = None
-    for t in range(p.t_max + 1):
-        mismatch = lut[p.cells[t]] != q.cells[t]
-        if mismatch.any():
-            index = np.argwhere(mismatch)[0]  # C order == lexicographic site order
-            failure = (t, tuple(int(i) - radius * t for i in index))
-            break
-
-    return Certificate(
-        source_modulus=p.modulus,
-        source_seed=p.seed,
-        target_modulus=q.modulus,
-        target_seed=q.seed,
-        rule=p.rule,
-        map=f,
-        verified_horizon=p.t_max,
-        failure=failure,
-    )
+    pairs = ((lut[row], target) for row, target in zip(p.cells, q.cells))
+    return _certify(p.rule, p.t_max, [(p.seed, q.seed, f)], pairs)[0]
 
 
 @dataclass
@@ -230,17 +238,10 @@ def equivalence_classes(n: int, rule: TransitionRule, t_max: int) -> list[SeedCl
     for lut, (_, f) in zip(luts, reductions):
         lut[list(f.table)] = list(f.table.values())
     offsets = np.arange(0, luts.size, n).reshape((-1,) + (1,) * rule.dimension)
-    radius = rule_radius(rule)
-    failures = [None] * (n - 1)
-    pending = np.ones(n - 1, dtype=bool)
     rows = evolve_rows([n] * (n - 1) + targets, rule, [*seeds] + [1] * len(targets), t_max)
-    for t, row in enumerate(rows):
-        mismatch = luts.take(row[:n - 1] + offsets) != row[target_rows]
-        for i in np.flatnonzero(pending & mismatch.reshape(n - 1, -1).any(axis=1)):
-            failures[i] = (t, tuple(int(x) - radius * t for x in np.argwhere(mismatch[i])[0]))
-            pending[i] = False
+    pairs = ((luts.take(row[:n - 1] + offsets), row[target_rows]) for row in rows)
     by_r: dict[int, list[Certificate]] = {}
-    for a, (r, f), failure in zip(seeds, reductions, failures):
-        by_r.setdefault(r, []).append(Certificate(n, a, r, 1, rule, f, t_max, failure))
+    for cert in _certify(rule, t_max, [(a, 1, f) for a, (_, f) in zip(seeds, reductions)], pairs):
+        by_r.setdefault(cert.target_modulus, []).append(cert)
     return [SeedClass(r, tuple(c.source_seed for c in by_r[r]), tuple(by_r[r]))
             for r in sorted(by_r, reverse=True)]

@@ -103,6 +103,8 @@ def search_state_maps(p: Pattern, q: Pattern) -> list[StateMap]:
     no finite-horizon witness exists. Results are ordered lexicographically
     by table, the order in which permutations of the sorted candidates come;
     since every domain state occurs in some cell, at most one can match.
+    Cells are looked up by their index among the sorted reachable states, so
+    nothing sized by the modulus is allocated.
     """
     check_comparable(p, q)
 
@@ -116,24 +118,16 @@ def search_state_maps(p: Pattern, q: Pattern) -> list[StateMap]:
         return []  # no bijection pinning 0 to 0 exists
 
     # the shared rule gives both patterns the same row boxes
-    src_all = np.concatenate([row.ravel() for row in p.cells])
+    states = sorted(source_states)
+    index = np.searchsorted(states, np.concatenate([row.ravel() for row in p.cells]))
     dst_all = np.concatenate([row.ravel() for row in q.cells])
-
-    pin_zero = 0 in source_states
-    domain = sorted(source_states - {0})
-    candidates = sorted(target_states - {0})
+    pinned = [0] if 0 in source_states else []
 
     found = []
-    lut = np.full(p.modulus, -1, dtype=np.int64)  # every permutation rewrites lut[domain]
-    if pin_zero:
-        lut[0] = 0
-    for image in itertools.permutations(candidates):
-        lut[domain] = image
-        if np.array_equal(lut[src_all], dst_all):
-            table = dict(zip(domain, image))
-            if pin_zero:
-                table[0] = 0
-            found.append(StateMap(p.modulus, q.modulus, table))
+    for perm in itertools.permutations(sorted(target_states - {0})):
+        image = np.array(pinned + list(perm))  # image[i] is the image of states[i]
+        if np.array_equal(image[index], dst_all):
+            found.append(StateMap(p.modulus, q.modulus, dict(zip(states, image.tolist()))))
     return found
 
 

@@ -38,6 +38,24 @@ def test_evolve_rejects_bad_rule_text():
     assert "position" in result.stderr.decode()
 
 
+@pytest.mark.parametrize("command", [
+    ("evolve", "--states", "2", "--seed", "1"),
+    ("canon", "--states", "2", "--seed", "1", "--certify"),
+    ("verify", "--states", "3", "--seed-a", "1", "--seed-b", "2"),
+    ("sweep", "--states-max", "2"),
+])
+def test_a_run_too_large_to_allocate_exits_2_without_a_traceback(command, tmp_path):
+    # a row of 2*10**15 int64 cells exceeds any 64-bit address space
+    rule = "1@(999999999999999)"
+    (tmp_path / "rules.txt").write_text(rule + "\n")
+    extra = ("--rules", "rules.txt") if command[0] == "sweep" else ("--rule", rule)
+    result = run_cli(*command, *extra, "--steps", "1", cwd=tmp_path)
+    assert result.returncode == 2
+    assert result.stdout == b""
+    stderr = result.stderr.decode()
+    assert stderr.startswith("error: ") and "Traceback" not in stderr
+
+
 def test_evolve_writes_pgm(tmp_path):
     out = tmp_path / "fig.pgm"
     result = run_cli(

@@ -303,3 +303,35 @@ def test_a_wrong_map_falsifies_only_its_own_seed(monkeypatch, rule_text, dimensi
             assert certificate.map is wrong
         else:
             assert certificate.verified, certificate.source_seed
+
+
+def test_two_wrong_maps_in_one_batch_each_fail_where_verify_fails_them(monkeypatch):
+    rule = parse_rule("1@(-1);1@(0);1@(1)")
+    n, t_max = 12, 10
+    wrong, expected = {}, {}
+    for a in (5, 4):
+        r, right = canonicalize(n, a)
+        source = evolve(n, rule, a, t_max)
+        order = [int(b) for row in source.cells for b in row.flat]
+        first_seen = sorted(set(order) - {0}, key=order.index)
+        table = dict(right.table)
+        if a == 5:  # swap the images of the last two nonzero states the seed reaches
+            b, c = first_seen[-2:]
+            table[b], table[c] = table[c], table[b]
+        else:  # drop the last one: it gathers the -1 out-of-domain sentinel
+            del table[first_seen[-1]]
+        wrong[a] = StateMap(n, r, table)
+        expected[a] = verify_isomorphism(source, evolve(r, rule, 1, t_max), wrong[a]).failure
+    assert expected == {5: (5, (-1,)), 4: (2, (-1,))}
+
+    real = equiv.canonicalize
+    monkeypatch.setattr(equiv, "canonicalize",
+                        lambda n_, a: (n_ // gcd(n_, a), wrong[a]) if a in wrong else real(n_, a))
+    for seed_class in equivalence_classes(n, rule, t_max):
+        for certificate in seed_class.certificates:
+            a = certificate.source_seed
+            if a in wrong:
+                assert certificate.failure == expected[a]
+                assert certificate.map is wrong[a]
+            else:
+                assert certificate.verified, a

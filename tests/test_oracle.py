@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,24 @@ def test_search_results_are_sorted(rule90):
     witnesses = search_state_maps(p, q)
     tables = [sorted(w.table.items()) for w in witnesses]
     assert tables == sorted(tables)
+
+
+def test_search_at_horizon_zero_without_state_zero(rule90):
+    p = evolve(6, rule90, 2, 0)
+    q = evolve(6, rule90, 4, 0)
+    assert [w.table for w in search_state_maps(p, q)] == [{2: 4}]
+
+
+def test_search_allocates_nothing_sized_by_the_modulus(rule90):
+    p = evolve(2**24, rule90, 2**23, 6)
+    tracemalloc.start()
+    try:
+        witnesses = search_state_maps(p, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [w.table for w in witnesses] == [{0: 0, 2**23: 2**23}]
+    assert peak < 2**20
 
 
 def test_parity_row_examples():
