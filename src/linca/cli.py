@@ -91,7 +91,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     p = evolve(n, rule, a, args.steps)
     q = evolve(n, rule, a_hat, args.steps)
     certificate = verify_isomorphism(p, q, mapping)
-    # search first: a refused search must not leave a certificate on stdout
+    # search first: a search that fails must not leave a certificate on stdout
     witnesses = oracle.search_state_maps(p, q) if args.search else None
     sys.stdout.write(certificate.serialize())
     if witnesses is not None:
@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed-b", type=int, required=True)
     add_common(p_verify)
     p_verify.add_argument("--search", action="store_true",
-                          help="also enumerate all brute-force witnesses")
+                          help="also search for the witness state map cell by cell")
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="partition seeds for every n up to a bound")

@@ -1,16 +1,16 @@
 """Reference implementations that recompute results by independent routes.
 
 Nothing here reuses the engine's row sweep: cells are recomputed by
-top-down memoized recursion, isomorphism witnesses are found by exhaustive
-bijection enumeration, and the two-state nearest-neighbor pattern is
-rebuilt from Pascal's triangle. These paths exist to catch the engine and
+top-down memoized recursion, the isomorphism witness is read off the
+pairs of corresponding cells as the one state map they force, and the
+two-state nearest-neighbor pattern is rebuilt from the parity of binomial
+coefficients by Lucas's theorem. These paths exist to catch the engine and
 the constructed maps lying in the same way. ``first_disagreement`` walks
 an engine pattern against the recursion, as ``linca evolve --oracle`` does.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from functools import lru_cache
@@ -18,14 +18,12 @@ from operator import add
 
 import numpy as np
 
-from .engine import Pattern, check_comparable, reachable_states
+from .engine import Pattern, check_comparable
 from .equiv import StateMap
 from .rule import TransitionRule, rule_radius
 from .zmod import check_seed
 
 T_BOUND = 20
-PARITY_T_BOUND = 64
-SEARCH_BOUND = 8
 
 
 def _site_tuple(site, dimension: int) -> tuple[int, ...]:
@@ -97,52 +95,38 @@ def first_disagreement(pattern: Pattern) -> tuple[int, tuple[int, ...]] | None:
 def search_state_maps(p: Pattern, q: Pattern) -> list[StateMap]:
     """All state bijections under which p lands cell-for-cell on q.
 
-    Enumerates every bijection between the two truncated reachable-state
-    sets that pins 0 to 0, and keeps those that match the patterns at every
-    site of the light cone for every t <= t_max. An empty list means
-    no finite-horizon witness exists. Results are ordered lexicographically
-    by table, the order in which permutations of the sorted candidates come;
-    since every domain state occurs in some cell, at most one can match.
-    Cells are looked up by their index among the sorted reachable states, so
-    nothing sized by the modulus is allocated.
+    The shared rule gives both patterns one cell layout, so a bijection f
+    with f(p) = q is forced cell by cell: f(p[t][i]) = q[t][i]. The
+    distinct (p cell, q cell) pairs are therefore the only candidate. It is
+    a witness exactly when no state of either side occurs in two pairs and
+    0 pairs only with 0. The result holds that one map, over p's reachable
+    states up to t_max, or is empty: no finite-horizon witness exists.
+    Nothing sized by the modulus is allocated.
     """
     check_comparable(p, q)
-
-    source_states = reachable_states(p)
-    target_states = reachable_states(q)
-    if len(source_states) > SEARCH_BOUND or len(target_states) > SEARCH_BOUND:
-        raise ValueError(
-            f"reachable-state sets exceed the search bound ({SEARCH_BOUND})"
-        )
-    if len(source_states) != len(target_states) or (0 in source_states) != (0 in target_states):
-        return []  # no bijection pinning 0 to 0 exists
-
-    # the shared rule gives both patterns the same row boxes
-    states = sorted(source_states)
-    index = np.searchsorted(states, np.concatenate([row.ravel() for row in p.cells]))
-    dst_all = np.concatenate([row.ravel() for row in q.cells])
-    pinned = [0] if 0 in source_states else []
-
-    found = []
-    for perm in itertools.permutations(sorted(target_states - {0})):
-        image = np.array(pinned + list(perm))  # image[i] is the image of states[i]
-        if np.array_equal(image[index], dst_all):
-            found.append(StateMap(p.modulus, q.modulus, dict(zip(states, image.tolist()))))
-    return found
+    m = q.modulus
+    # both moduli are below 2**31, so every key b*m + c is below 2**62
+    keys = np.concatenate([(b * m + c).ravel() for b, c in zip(p.cells, q.cells)])
+    pairs = np.unique(keys)
+    source, target = pairs // m, pairs % m  # source comes out ascending
+    if (
+        np.any(source[1:] == source[:-1])
+        or len(np.unique(target)) != len(target)
+        or np.any((source == 0) != (target == 0))
+    ):
+        return []
+    return [StateMap(p.modulus, q.modulus, dict(zip(source.tolist(), target.tolist())))]
 
 
 def binomial_parity_row(t: int) -> list[int]:
     """Row t of the two-state nearest-neighbor-sum pattern on sites [-t, t].
 
-    Computed from Pascal's triangle over the integers and reduced mod 2:
-    the cell at site i is C(t, (t+i)/2) mod 2 when t+i is even, else 0.
+    The cell at site i is C(t, k) mod 2 with k = (t+i)/2 when t+i is even,
+    else 0; by Lucas's theorem C(t, k) is odd exactly when k & (t-k) == 0.
     """
-    if t < 0 or t > PARITY_T_BOUND:
-        raise ValueError(f"t must be in [0, {PARITY_T_BOUND}], got {t}")
-    binomials = [1]
-    for _ in range(t):
-        binomials = [1] + [x + y for x, y in zip(binomials, binomials[1:])] + [1]
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
     row = [0] * (2 * t + 1)
-    for k, value in enumerate(binomials):
-        row[2 * k] = value % 2  # site i = 2k - t; odd t+i stays 0
+    for k in range(t + 1):
+        row[2 * k] = int(k & (t - k) == 0)  # site i = 2k - t; odd t+i stays 0
     return row

@@ -89,8 +89,6 @@ def test_criterion_3_oracle_equivalence():
                 classes.setdefault(gcd(n, a), []).append(a)
             for seeds in classes.values():
                 for a in seeds:
-                    if len(reachable_states(patterns[a])) > 8:
-                        continue
                     for a_hat in seeds:
                         constructed = seed_pair_map(n, a, a_hat)
                         restricted = constructed.restricted(reachable_states(patterns[a]))

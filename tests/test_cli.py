@@ -203,13 +203,17 @@ def test_verify_search_lists_witnesses():
 
 
 def test_verify_search_refuses_before_writing(capsys):
+    # eleven reachable states: the search has no bound on the state count
     code = cli.main([
         "verify", "--states", "11", "--seed-a", "1", "--seed-b", "2", "--steps", "16", "--search",
     ])
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == "error: reachable-state sets exceed the search bound (8)\n"
+    assert code == 0
+    assert captured.err == ""
+    assert captured.out.endswith(
+        "witnesses 1\n"
+        "witness 0->0 1->2 2->4 3->6 4->8 5->10 6->1 7->3 8->5 9->7 10->9\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -93,7 +93,7 @@ CASES = {
     "verify-search-3d": (
         ["verify", "--states", "4", "--seed-a", "1", "--seed-b", "3", "--dim", "3",
          "--steps", "3", "--rule", RULE_3D, "--search"], None),
-    "verify-search-bound": (
+    "verify-search-11-states": (
         ["verify", "--states", "11", "--seed-a", "1", "--seed-b", "2", "--steps", "16",
          "--search"], None),
     "sweep-1d": (

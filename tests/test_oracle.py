@@ -88,10 +88,30 @@ def test_light_cone_rows_store_no_padding_zeros():
 
 
 def test_search_rejects_large_state_sets(rule90):
+    # eleven reachable states: the search has no bound on the state count
     p = evolve(11, rule90, 1, 16)
     q = evolve(11, rule90, 2, 16)
-    with pytest.raises(ValueError, match="search bound"):
-        search_state_maps(p, q)
+    witnesses = search_state_maps(p, q)
+    assert [w.table for w in witnesses] == [
+        seed_pair_map(11, 1, 2).restricted(reachable_states(p)).table
+    ]
+
+
+def test_search_requires_zero_to_pair_with_zero(rule90):
+    # the cell pairs (2, 1) and (0, 2) form a bijection, but one that moves 0
+    p = Pattern(3, rule90, 2, (np.array([2]), np.array([0, 2, 0])))
+    q = Pattern(3, rule90, 1, (np.array([1]), np.array([2, 1, 2])))
+    assert search_state_maps(p, q) == []
+
+
+def test_search_keys_at_the_largest_modulus():
+    n = 2**31 - 1
+    rule = parse_rule("1@(-1);1@(0);1@(1)")
+    p = evolve(n, rule, 1, 128)
+    q = evolve(n, rule, 2, 128)
+    [witness] = search_state_maps(p, q)
+    assert witness.domain() == sorted(reachable_states(p))
+    assert all(c == 2 * b % n for b, c in witness.table.items())
 
 
 def test_search_requires_matching_horizons(rule90):
@@ -152,9 +172,8 @@ def test_parity_row_examples():
     assert row4[4] == 0  # center: an even binomial
 
 
-def test_parity_row_bound():
-    with pytest.raises(ValueError):
-        binomial_parity_row(65)
+def test_parity_row_bound(rule90):
+    assert binomial_parity_row(65) == evolve(2, rule90, 1, 65).cells[65].tolist()
     with pytest.raises(ValueError):
         binomial_parity_row(-1)
 
