@@ -1,15 +1,16 @@
 """State maps between reachable-state sets and pattern-isomorphism checks.
 
-Every constructed map is one affine table, b -> e*((b/d)*k mod r) on the
-multiples of d in Z/nZ. The tables are explicit so they can be serialized
-into certificates, diffed in tests, and compared against brute-force
-searched witnesses. A certificate only ever asserts equality up to its
-finite horizon; the algebraic identities behind the constructions hold for
-all t and are property-tested on the engine.
+Every constructed map is one affine formula, b -> e*((b/d)*k mod r) on the
+multiples of d in Z/nZ. It is kept as its four numbers (n, d, k, e) and
+computed when read, so nothing sized by n is stored. A certificate only ever
+asserts equality up to its finite horizon; the algebraic identities behind
+the constructions hold for all t and are property-tested on the engine.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,23 +20,62 @@ from .rule import TransitionRule, format_rule, rule_radius
 from .zmod import check_modulus, check_residue, check_seed, gcd, inverse
 
 
+@dataclass(eq=False)  # Mapping's __eq__ compares entries, so equal maps equal dicts
+class _AffineTable(Mapping):
+    """b -> e*((b/d)*k mod r), r = n/d, on the multiples of d; computed when read."""
+
+    n: int
+    d: int
+    k: int
+    e: int
+
+    def __getitem__(self, b):
+        i = operator.index(b) if hasattr(b, "__index__") else -1  # ints and numpy ints
+        if not (0 <= i < self.n and i % self.d == 0):
+            raise KeyError(b)
+        return self.e * (i // self.d * self.k % (self.n // self.d))
+
+    def __iter__(self):
+        return iter(range(0, self.n, self.d))
+
+    def __len__(self) -> int:
+        return self.n // self.d
+
+
 @dataclass
 class StateMap:
-    """An injective state table from one residue ring into another."""
+    """An injective state table from one residue ring into another.
+
+    ``table`` is a dict, or the formula of ``StateMap.affine``: it reads like a
+    dict but stores only (n, d, k, e), so no constructed map is sized by n.
+    """
 
     source_modulus: int
     target_modulus: int
-    table: dict[int, int]
+    table: Mapping[int, int]
+
+    @classmethod
+    def affine(cls, n: int, d: int, k: int, e: int) -> "StateMap":
+        """b -> e*((b/d)*k mod r), r = n/d, from Z/nZ into Z/(e*r)Z: d | n, k a unit mod r."""
+        return cls(n, e * (n // d) if d > 0 else 0, _AffineTable(n, d, k, e))
 
     def __post_init__(self):
         check_modulus(self.source_modulus)
         check_modulus(self.target_modulus)
-        for b, c in self.table.items():
+        t = self.table
+        if isinstance(t, _AffineTable):  # O(1): injective and 0 -> 0 by construction
+            r = t.n // t.d if t.d > 0 and t.n % t.d == 0 else 0
+            if not r or t.n != self.source_modulus or self.target_modulus != t.e * r:
+                raise ValueError(f"affine map needs d | n and target modulus e*n/d, got {t}")
+            if not (0 <= t.k < r and gcd(t.k, r) == 1):
+                raise ValueError(f"affine map needs k a unit mod r={r}, got k={t.k}")
+            return
+        for b, c in t.items():
             check_residue(b, self.source_modulus)
             check_residue(c, self.target_modulus)
-        if len(set(self.table.values())) != len(self.table):
+        if len(set(t.values())) != len(t):
             raise ValueError("state map must be injective")
-        if 0 in self.table and self.table[0] != 0:
+        if 0 in t and t[0] != 0:
             raise ValueError("state map must send 0 to 0")
 
     def domain(self) -> list[int]:
@@ -47,13 +87,19 @@ class StateMap:
         except KeyError:
             raise ValueError(f"state {b} outside the map domain") from None
 
+    def images(self, states) -> np.ndarray:
+        """The image of each state as int64, -1 outside the domain; nothing sized by n."""
+        s = np.asarray(states, dtype=np.int64)
+        t = self.table
+        if isinstance(t, _AffineTable):  # s < n and k < r keep every product below 2**62
+            inside = (s >= 0) & (s < t.n) & (s % t.d == 0)
+            return np.where(inside, t.e * (s // t.d * t.k % (t.n // t.d)), -1)
+        return np.array([t.get(b, -1) for b in s.ravel().tolist()], dtype=np.int64).reshape(s.shape)
+
     def restricted(self, states) -> "StateMap":
         """The same map cut down to the domain elements in ``states``."""
-        return StateMap(
-            self.source_modulus,
-            self.target_modulus,
-            {b: c for b, c in self.table.items() if b in states},
-        )
+        table = {operator.index(b): self.table[b] for b in states if b in self.table}
+        return StateMap(self.source_modulus, self.target_modulus, table)
 
 
 class ClassMismatchError(ValueError):
@@ -68,19 +114,11 @@ def _reduction(n: int, a: int) -> tuple[int, int, int]:
     return d, r, inverse((a // d) % r, r)
 
 
-def _affine_map(n: int, d: int, k: int, e: int) -> StateMap:
-    """b -> e*((b/d)*k mod r), r = n/d, on the multiples of d into Z/(e*r)Z; (b/d)*k < 2**62."""
-    r = n // d
-    quotient = np.arange(r, dtype=np.int64)
-    images = e * (quotient * k % r)
-    return StateMap(n, e * r, dict(zip((quotient * d).tolist(), images.tolist())))
-
-
 def seed_map(n: int, a: int, a_hat: int) -> StateMap:
     """Unit-multiplication map sending seed a's pattern onto seed a_hat's.
 
-    Both seeds must be units mod n. The map is the affine table with d = 1:
-    b -> k*b mod n with k = a_hat * a^-1, defined on all of Z/nZ, and the
+    Both seeds must be units mod n. The map is seed_pair_map's affine map with
+    d = 1: b -> k*b mod n with k = a_hat * a^-1, defined on all of Z/nZ, and the
     scaling law of the engine matches the two patterns cell-wise at every t.
     """
     check_residue(a, n)
@@ -90,27 +128,27 @@ def seed_map(n: int, a: int, a_hat: int) -> StateMap:
             "seed map needs unit seeds (coprime to the modulus); "
             "use canonicalize for non-unit seeds"
         )
-    return _affine_map(n, 1, a_hat * inverse(a, n) % n, 1)
+    return seed_pair_map(n, a, a_hat)
 
 
 def canonicalize(n: int, a: int) -> tuple[int, StateMap]:
     """Reduce (n, a) to the canonical pair (r, 1) with r = n / gcd(n, a).
 
-    The map is the affine table b -> (b/d)*w mod r on the multiples of
+    The map is the affine map b -> (b/d)*w mod r on the multiples of
     d = gcd(n, a), with w = (a/d)^-1 mod r, so the seed itself lands on 1.
     Always satisfies map.table[a] == 1, and canonicalizing (r, 1) again
     yields the identity.
     """
     d, r, w = _reduction(n, a)
-    return r, _affine_map(n, d, w, 1)
+    return r, StateMap.affine(n, d, w, 1)
 
 
 def seed_pair_map(n: int, a: int, a_hat: int) -> StateMap:
     """The constructed map between two seeds of the same canonical class.
 
-    a's reduction followed by the inverse of a_hat's, as one affine table:
+    a's reduction followed by the inverse of a_hat's, as one affine map:
     b -> d*((b/d)*w*(a_hat/d) mod r) on the multiples of d = gcd(n, a);
-    for unit seeds this is seed_map. Seeds from different classes raise
+    seed_map is its unit-seed case. Seeds from different classes raise
     ClassMismatchError.
     """
     d, r, w = _reduction(n, a)
@@ -119,12 +157,13 @@ def seed_pair_map(n: int, a: int, a_hat: int) -> StateMap:
         raise ClassMismatchError(
             f"seeds lie in different canonical classes: r_a={r} r_b={r_hat}"
         )
-    return _affine_map(n, d, w * (a_hat // d) % r, d)
+    return StateMap.affine(n, d, w * (a_hat // d) % r, d)
 
 
 def format_map_lines(f: StateMap) -> str:
     """One ``map b->c`` line per domain element, in ascending order."""
-    return "".join(f"map {b}->{f.table[b]}\n" for b in f.domain())
+    domain = f.domain()
+    return "".join(f"map {b}->{c}\n" for b, c in zip(domain, f.images(domain).tolist()))
 
 
 def _format_site(site: tuple[int, ...]) -> str:
@@ -201,10 +240,9 @@ def verify_isomorphism(p: Pattern, q: Pattern, f: StateMap) -> Certificate:
     if f.source_modulus != p.modulus or f.target_modulus != q.modulus:
         raise ValueError("state map moduli do not match the patterns")
 
-    lut = np.full(p.modulus, -1, dtype=np.int64)  # -1 marks out-of-domain states
-    lut[list(f.table)] = list(f.table.values())
-    pairs = ((lut[row], target) for row, target in zip(p.cells, q.cells))
-    return _certify(p.rule, p.t_max, [(p.seed, q.seed, f)], pairs)[0]
+    small = p.modulus <= sum(row.size for row in p.cells)  # a table never outweighs the pattern
+    mapped = map(f.images(np.arange(p.modulus)).take if small else f.images, p.cells)
+    return _certify(p.rule, p.t_max, [(p.seed, q.seed, f)], zip(mapped, q.cells))[0]
 
 
 @dataclass
@@ -234,9 +272,10 @@ def equivalence_classes(n: int, rule: TransitionRule, t_max: int) -> list[SeedCl
     reductions = [canonicalize(n, a) for a in seeds]
     targets = sorted({r for r, _ in reductions} - {n})
     target_rows = np.array([0 if r == n else n - 1 + targets.index(r) for r, _ in reductions])
-    luts = np.full((n - 1, n), -1, dtype=np.int64)  # -1 marks out-of-domain states
+    states = np.arange(n)
+    luts = np.empty((n - 1, n), dtype=np.int64)
     for lut, (_, f) in zip(luts, reductions):
-        lut[list(f.table)] = list(f.table.values())
+        lut[:] = f.images(states)  # -1 marks out-of-domain states
     offsets = np.arange(0, luts.size, n).reshape((-1,) + (1,) * rule.dimension)
     rows = evolve_rows([n] * (n - 1) + targets, rule, [*seeds] + [1] * len(targets), t_max)
     pairs = ((luts.take(row[:n - 1] + offsets), row[target_rows]) for row in rows)

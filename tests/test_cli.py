@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import gc
+import tracemalloc
 
 import pytest
 
@@ -254,6 +255,19 @@ def test_commands_build_one_state_map_at_most(monkeypatch, capsys):
     assert built == []
     out = capsys.readouterr().out
     assert out == "seeds lie in different canonical classes: r_a=1000000 r_b=2000000\n"
+
+
+def test_canon_certify_allocates_nothing_sized_by_the_modulus(capsys):
+    tracemalloc.start()
+    try:
+        code = cli.main(["canon", "--states", "16777216", "--seed", "8388608",
+                         "--certify", "--steps", "8"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out.endswith("map 8388608->1\nstatus verified\n")
+    assert peak < 4 * 2**20
 
 
 def test_sweep_partitions(tmp_path):

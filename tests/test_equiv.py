@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import FIXTURE_RULE_2D, FIXTURE_RULES_1D
@@ -5,6 +7,7 @@ from conftest import FIXTURE_RULE_2D, FIXTURE_RULES_1D
 from linca import equiv
 from linca.engine import evolve, reachable_states
 from linca.equiv import (
+    Certificate,
     StateMap,
     canonicalize,
     equivalence_classes,
@@ -12,7 +15,7 @@ from linca.equiv import (
     seed_pair_map,
     verify_isomorphism,
 )
-from linca.rule import parse_rule
+from linca.rule import parse_rule, rule_radius
 from linca.zmod import gcd
 
 
@@ -179,9 +182,19 @@ def test_constructed_tables_match_their_formulas():
                 _, lift = canonicalize(n, a_hat)
                 back = {c: b for b, c in lift.table.items()}
                 composed = {b: back[c] for b, c in reduction.table.items()}
-                assert seed_pair_map(n, a, a_hat).table == composed, (n, a, a_hat)
+                pair = seed_pair_map(n, a, a_hat)
+                assert pair.table == composed, (n, a, a_hat)
+                assert _images_match_the_table(pair), (n, a, a_hat)
                 if d == 1:
-                    assert seed_map(n, a, a_hat).table == composed, (n, a, a_hat)
+                    unit = seed_map(n, a, a_hat)
+                    assert unit.table == composed, (n, a, a_hat)
+                    assert _images_match_the_table(unit), (n, a, a_hat)
+            assert _images_match_the_table(reduction), (n, a)
+
+
+def _images_match_the_table(f):
+    n = f.source_modulus
+    return f.images(np.arange(n)).tolist() == [f.table.get(b, -1) for b in range(n)]
 
 
 def test_seed_pair_map_unit_and_subgroup_cases():
@@ -335,3 +348,66 @@ def test_two_wrong_maps_in_one_batch_each_fail_where_verify_fails_them(monkeypat
                 assert certificate.map is wrong[a]
             else:
                 assert certificate.verified, a
+
+
+def test_numpy_integer_states_are_map_keys():
+    f = seed_map(5, 1, 2)
+    assert f.apply(np.int64(2)) == 4
+    assert np.int64(2) in f.table
+    assert canonicalize(6, 4)[1].restricted({np.int64(2), 4}).table == {2: 2, 4: 1}
+
+
+def test_affine_maps_check_their_parameters():
+    with pytest.raises(ValueError, match=r"d \| n"):
+        StateMap.affine(12, 5, 1, 1)  # 5 does not divide 12
+    with pytest.raises(ValueError, match="unit"):
+        StateMap.affine(12, 3, 2, 1)  # 2 is not a unit mod r = 4
+    assert StateMap.affine(12, 3, 3, 2).table == {0: 0, 3: 6, 6: 4, 9: 2}
+
+
+def _certificate_by_cell_loop(p, q, f):
+    """The certificate from one Python comparison per cell through ``f.table.get``."""
+    radius = rule_radius(p.rule)
+    for t, (row, target) in enumerate(zip(p.cells, q.cells)):
+        for index in np.ndindex(row.shape):
+            if f.table.get(int(row[index]), -1) != target[index]:
+                failure = (t, tuple(i - radius * t for i in index))
+                return Certificate(p.modulus, p.seed, q.modulus, q.seed, p.rule, f, p.t_max, failure)
+    return Certificate(p.modulus, p.seed, q.modulus, q.seed, p.rule, f, p.t_max)
+
+
+@pytest.mark.parametrize("t_max, lookup_sizes", [(2, [1, 3, 5]), (3, [12])])
+def test_both_lookup_paths_match_a_per_cell_loop(monkeypatch, t_max, lookup_sizes):
+    # n = 12 against 9 cells at T = 2 (arithmetic per row), 16 cells at T = 3 (one table)
+    rule = parse_rule("1@(-1);1@(0);1@(1)")
+    n, a, a_hat = 12, 1, 5
+    p, q = evolve(n, rule, a, t_max), evolve(n, rule, a_hat, t_max)
+    right = seed_pair_map(n, a, a_hat)
+    order = [int(b) for row in p.cells for b in row.flat]
+    first_seen = sorted(set(order) - {0}, key=order.index)
+    missing = dict(right.table)
+    del missing[first_seen[-1]]  # a reached state outside the domain: its image is -1
+    maps = [right, StateMap.affine(n, 1, 7, 1), StateMap(n, n, missing)]
+
+    sizes = []
+    real = StateMap.images
+    monkeypatch.setattr(StateMap, "images", lambda f, s: sizes.append(np.size(s)) or real(f, s))
+    certificates = []
+    for f in maps:
+        sizes.clear()
+        certificates.append(verify_isomorphism(p, q, f))
+        assert sizes and sizes == lookup_sizes[:len(sizes)]  # rows stop at the first failure
+    assert [c.verified for c in certificates] == [True, False, False]
+    for f, certificate in zip(maps, certificates):
+        assert certificate.serialize() == _certificate_by_cell_loop(p, q, f).serialize()
+
+
+def test_equivalence_classes_memory_is_below_the_map_tables(rule90):
+    tracemalloc.start()
+    try:
+        classes = equivalence_classes(1000, rule90, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(c.verified for c in classes)
+    assert peak < 16 * 2**20
