@@ -29,6 +29,7 @@ RULE_1D = "1@(-1);2@(0);3@(1)"
 RULE_3D = "1@(-1,0,0);1@(1,0,0);1@(0,-1,0);1@(0,0,1)"
 BIG = str(2**31 - 1)
 RULES_FILE = "rules.txt"
+RULE_DEEP = "2@(-1);3@(0);1@(1)"
 
 # id -> (argv, rules file text or None)
 CASES = {
@@ -56,6 +57,9 @@ CASES = {
     "evolve-1d-pgm-max-modulus": (
         ["evolve", "--states", BIG, "--seed", "12345", "--steps", "20", "--rule", RULE_1D,
          "--format", "pgm", "--out", "big.pgm"], None),
+    "evolve-1d-pgm-deep": (
+        ["evolve", "--states", "13", "--seed", "5", "--steps", "2048", "--rule", RULE_DEEP,
+         "--format", "pgm", "--out", "deep.pgm"], None),
     "evolve-2d-pgm": (
         ["evolve", "--states", "7", "--seed", "3", "--dim", "2", "--steps", "8",
          "--rule", FIXTURE_RULE_2D, "--format", "pgm", "--out", "frame.pgm"], None),
@@ -130,6 +134,13 @@ CASES = {
         ["sweep", "--states-max", "4", "--rules", RULES_FILE, "--steps", "-1"],
         "1@(-1);1@(1)\n"),
 }
+# n on both sides of the engine's int16 and int32 edges: c = (n-1, 1) sums to n(n-1) per cell
+CASES.update({
+    f"evolve-1d-text-{n}-states": (
+        ["evolve", "--states", str(n), "--seed", str(n - 1), "--steps", "40",
+         "--rule=-1@(-1);1@(1)"], None)
+    for n in (181, 182, 46341, 46342)
+})
 
 
 def sha256(data: bytes) -> str:
