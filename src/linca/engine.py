@@ -9,7 +9,8 @@ A pattern stores row t as a plain int64 array on its light cone, the box
 [-radius*t, radius*t]^D, so the state at site i sits at index i + radius*t
 on every axis. The box depends on (rule, t) only: two patterns under one
 rule are compared array against array, with no re-boxing. These arrays
-are the package's only row type, the seed and the text reader's included.
+are the package's only row type, the seed and the text reader's included;
+a step sums in the narrowest exact integer type, but its rows leave as int64.
 """
 
 from __future__ import annotations
@@ -40,27 +41,32 @@ def _kernel(rule: TransitionRule, n, radius: int) -> Callable[[np.ndarray], np.n
     """The step out[i] = sum_j c_j * in[i + v_j] mod n on the trailing D axes, grown by radius.
 
     ``n`` is one modulus or a column of them, one per batch row. Each c_j is reduced per
-    modulus once, so a term adds at most c_j * (max n - 1) to a cell; ``bound`` tracks that
-    bound on ``acc``, which is reduced only when the next term could pass INT64_MAX (a product
-    c_j * in[i] is below n**2 <= 2**62, so a reduced ``acc`` has room for one more) and at the
-    end when the bound can reach the smallest modulus.
+    modulus once, so a term adds at most c_j * (max n - 1) to a cell. The step sums in the
+    first of int16, int32 whose max holds the total of those bounds and n - 1, else in int64.
+    ``bound`` tracks the bound on ``acc``, reduced only when the next term could pass that
+    max (in int64 a product is below n**2 <= 2**62, so a reduced ``acc`` has room for one
+    more) and at the end when the bound can reach the smallest modulus.
     """
     n = np.asarray(n, dtype=np.int64)
     top = int(n.max()) - 1
+    reduced = [(t.offset, np.asarray(t.coefficient % n.astype(object), dtype=np.int64))
+               for t in rule.terms]
+    total = max(top, sum(int(c.max()) * top for _, c in reduced))
+    dtype = next((d for d in (np.int16, np.int32) if total <= np.iinfo(d).max), np.int64)
     terms, bound = [], 0
-    for term in rule.terms:
-        c = np.asarray(term.coefficient % n.astype(object), dtype=np.int64)
+    for offset, c in reduced:
         if not c.any():
             continue
-        reduce_first = bound + int(c.max()) * top > INT64_MAX
+        reduce_first = bound + int(c.max()) * top > np.iinfo(dtype).max
         bound = (top if reduce_first else bound) + int(c.max()) * top
-        terms.append((term.offset, c, reduce_first))
+        terms.append((offset, c.astype(dtype), reduce_first))
     reduce_last = bound >= int(n.min())
+    n = n.astype(dtype)
 
     def advance(cells: np.ndarray) -> np.ndarray:
         in_shape = cells.shape[-rule.dimension:]
         out_shape = cells.shape[:-rule.dimension] + tuple(e + 2 * radius for e in in_shape)
-        acc = np.zeros(out_shape, dtype=np.int64)
+        acc = np.zeros(out_shape, dtype=dtype)
         for offset, c, reduce_first in terms:
             if reduce_first:
                 acc %= n
@@ -74,13 +80,14 @@ def _kernel(rule: TransitionRule, n, radius: int) -> Callable[[np.ndarray], np.n
 
 
 def _advance(cells: np.ndarray, rule: TransitionRule, n, radius: int) -> np.ndarray:
-    return _kernel(rule, n, radius)(cells)
+    return _kernel(rule, n, radius)(cells).astype(np.int64, copy=False)
 
 
 def evolve_rows(n, rule: TransitionRule, seeds, t_max: int) -> Iterator[np.ndarray]:
     """Rows 0..t_max of single-site seeds by one ``_kernel`` per run, made as asked for.
 
     A seed a under modulus n gives ``Pattern.cells`` rows; sequences give (S,) + cone rows.
+    The rows are carried in the kernel's dtype and yielded as int64.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
@@ -88,7 +95,8 @@ def evolve_rows(n, rule: TransitionRule, seeds, t_max: int) -> Iterator[np.ndarr
     pairs = zip(np.asarray(n, dtype=object).flat, np.asarray(seeds, dtype=object).flat)
     row = np.reshape([single_site_seed(m, rule.dimension, a) for m, a in pairs], shape)
     advance = _kernel(rule, np.reshape(n, shape), rule_radius(rule))
-    return accumulate(range(t_max), lambda cells, _: advance(cells), initial=row)
+    rows = accumulate(range(t_max), lambda cells, _: advance(cells), initial=row)
+    return (cells.astype(np.int64, copy=False) for cells in rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,6 +133,13 @@ def check_comparable(p: Pattern, q: Pattern) -> None:
 def evolve(n: int, rule: TransitionRule, a: int, t_max: int) -> Pattern:
     """Evolve the single-site seed a for t_max steps."""
     return Pattern(n, rule, a, tuple(evolve_rows(n, rule, a, t_max)))
+
+
+def per_state(pattern: Pattern, fn: Callable[[np.ndarray], np.ndarray]) -> Iterator[np.ndarray]:
+    """fn of every row, read from the n-entry table fn(arange(n)) while n is at most the
+    pattern's cell count (so the table never outweighs the pattern), else computed per row."""
+    small = pattern.modulus <= sum(row.size for row in pattern.cells)
+    return map(fn(np.arange(pattern.modulus)).take if small else fn, pattern.cells)
 
 
 def reachable_states(pattern: Pattern) -> set[int]:

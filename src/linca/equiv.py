@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Pattern, check_comparable, evolve_rows
+from .engine import Pattern, check_comparable, evolve_rows, per_state
 from .rule import TransitionRule, format_rule, rule_radius
 from .zmod import check_modulus, check_residue, check_seed, gcd, inverse
 
@@ -239,10 +239,8 @@ def verify_isomorphism(p: Pattern, q: Pattern, f: StateMap) -> Certificate:
     check_comparable(p, q)
     if f.source_modulus != p.modulus or f.target_modulus != q.modulus:
         raise ValueError("state map moduli do not match the patterns")
-
-    small = p.modulus <= sum(row.size for row in p.cells)  # a table never outweighs the pattern
-    mapped = map(f.images(np.arange(p.modulus)).take if small else f.images, p.cells)
-    return _certify(p.rule, p.t_max, [(p.seed, q.seed, f)], zip(mapped, q.cells))[0]
+    pairs = zip(per_state(p, f.images), q.cells)
+    return _certify(p.rule, p.t_max, [(p.seed, q.seed, f)], pairs)[0]
 
 
 @dataclass

@@ -1,25 +1,26 @@
 """Pattern presentation: a line-oriented text format and grayscale PGM images.
 
 Both writers work on whole arrays, with no Python per cell. One painter
-stacks every row, in its light-cone window, into the final box: states
-(0 outside) for text, in the smallest unsigned type holding n-1, or uint8
-pixels (white outside) for PGM. Text peels decimal digits off with % 10
-and // 10 into bytes, a keep-mask drops leading zeros, and ``_layout`` cuts
-the box into blocks joined by an empty line; the reader checks a stream
-against that layout, parses it into the same box and crops each row
-through its window. PGM is one image in 1D and one frame per row in 2D."""
+stacks every row, in its light-cone window, into the final box: states (0
+outside) for text, in the smallest unsigned type holding n-1, or uint8
+pixels (white outside) for PGM, painted through the state table of
+``engine.per_state``. Text peels decimal digits off with % 10 and // 10
+into bytes, a keep-mask drops leading zeros, and ``_layout`` cuts the box
+into blocks joined by an empty line; the reader checks a stream against
+that layout, parses it into the same box and crops each row through its
+window. PGM is one image in 1D and one frame per row in 2D."""
 
 from __future__ import annotations
 
 import math
 import re
-from collections.abc import Callable
+from collections.abc import Iterable
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .engine import INT64_MAX, Pattern
+from .engine import INT64_MAX, Pattern, per_state
 from .rule import rule_radius
 from .zmod import check_modulus
 
@@ -42,13 +43,13 @@ def _cone(t: int, radius: int, reach: int, dimension: int) -> tuple[slice, ...]:
     return (slice(reach - extent, reach + extent + 1),) * dimension
 
 
-def _paint(pattern: Pattern, fill: int, dtype, paint: Callable) -> np.ndarray:
-    """Rows stacked on the final box, (T+1,) + (W,)*D: paint(row) in each cone, fill elsewhere."""
+def _paint(pattern: Pattern, fill: int, dtype, rows: Iterable[np.ndarray]) -> np.ndarray:
+    """Rows stacked on the final box, (T+1,) + (W,)*D: row t in its cone, fill elsewhere."""
     radius = rule_radius(pattern.rule)
     reach = radius * pattern.t_max
     box = np.full((pattern.t_max + 1,) + (2 * reach + 1,) * pattern.dimension, fill, dtype=dtype)
-    for t, row in enumerate(pattern.cells):
-        box[(t,) + _cone(t, radius, reach, pattern.dimension)] = paint(row)
+    for t, row in enumerate(rows):
+        box[(t,) + _cone(t, radius, reach, pattern.dimension)] = row
     return box
 
 
@@ -103,7 +104,7 @@ def pattern_to_text(pattern: Pattern) -> str:
     values = (pattern.dimension, pattern.modulus, pattern.seed, pattern.t_max,
               rule_radius(pattern.rule))
     header = " ".join([TEXT_MAGIC] + [f"{k}={v}" for k, v in zip(HEADER_FIELDS, values)])
-    grid = _paint(pattern, 0, np.min_scalar_type(pattern.modulus - 1), lambda row: row)
+    grid = _paint(pattern, 0, np.min_scalar_type(pattern.modulus - 1), pattern.cells)
     blocks = grid.reshape(_layout(grid.shape))
     body = b"\n".join(_text_lines(block, pattern.modulus).tobytes() for block in blocks)
     return header + "\n" + body.decode("ascii")
@@ -187,7 +188,7 @@ def write_pgm(path: Path, pixels: np.ndarray) -> None:
     height, width = pixels.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(pixels.astype(np.uint8).tobytes())
+        fh.write(np.ascontiguousarray(pixels, dtype=np.uint8))
 
 
 def render_image(pattern: Pattern, path) -> list[Path]:
@@ -200,7 +201,7 @@ def render_image(pattern: Pattern, path) -> list[Path]:
     check_dimension(pattern.dimension, "pgm")
     path = Path(path)
     n = pattern.modulus
-    pixels = _paint(pattern, 255, np.uint8, lambda row: state_pixels(row, n))
+    pixels = _paint(pattern, 255, np.uint8, per_state(pattern, lambda s: state_pixels(s, n)))
     if pattern.dimension == 1:
         write_pgm(path, pixels)
         return [path]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linca.engine import _advance, evolve, evolve_rows, reachable_states, single_site_seed
-from linca.oracle import naive_cell
+from linca.oracle import first_disagreement, naive_cell
 from linca.rule import make_rule, parse_rule, rule_radius
 from linca.zmod import MAX_MODULUS
 
@@ -123,6 +123,35 @@ def test_a_batch_of_mixed_moduli_matches_per_row_evolve():
         for t, row in enumerate(evolve(m, rule, a, 8).cells):
             assert np.array_equal(rows[t][i], row), (m, t)
             assert 0 <= rows[t][i].min() and rows[t][i].max() < m, (m, t)
+
+
+# c = (n-1, 1) puts up to n(n-1) in a cell: 181 and 46341 are the last n of the int16 and
+# int32 kernels, 182 and 46342 the first of int32 and int64
+EDGE_MODULI = (181, 182, 46341, 46342)
+EDGE_RULE = "-1@(-1);1@(1)"
+
+
+@pytest.mark.parametrize("n", EDGE_MODULI)
+def test_the_kernel_dtype_edges_agree_with_the_recursion(n):
+    assert first_disagreement(evolve(n, parse_rule(EDGE_RULE), n - 1, 20)) is None
+
+
+def test_a_batch_across_the_kernel_dtype_edges_matches_per_row_evolve():
+    rule = parse_rule(EDGE_RULE)
+    moduli = [181, 182, 46342]
+    rows = list(evolve_rows(moduli, rule, [m - 1 for m in moduli], 20))
+    for i, m in enumerate(moduli):
+        for t, row in enumerate(evolve(m, rule, m - 1, 20).cells):
+            assert np.array_equal(rows[t][i], row), (m, t)
+
+
+@pytest.mark.parametrize("n", (2,) + EDGE_MODULI + (MAX_MODULUS,))
+def test_every_engine_row_is_int64(n):
+    rule = parse_rule(EDGE_RULE)
+    pattern = evolve(n, rule, n - 1, 6)
+    assert all(row.dtype == np.int64 for row in pattern.cells)
+    assert all(row.dtype == np.int64 for row in evolve_rows([n, n], rule, [1, n - 1], 6))
+    assert _advance(pattern.cells[-1], rule, n, 1).dtype == np.int64
 
 
 def test_a_term_vanishing_under_one_modulus_only():

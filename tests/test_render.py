@@ -258,6 +258,33 @@ def test_render_image_matches_the_padded_grid(n, tmp_path):
         assert frame.read_bytes() == expected
 
 
+def per_row_pixels(pattern):
+    """The PGM box painted one row at a time through state_pixels, white outside."""
+    radius = rule_radius(pattern.rule)
+    reach = radius * pattern.t_max
+    box = np.full((pattern.t_max + 1,) + (2 * reach + 1,) * pattern.dimension, 255, np.uint8)
+    for t, row in enumerate(pattern.cells):
+        cone = (slice(reach - radius * t, reach + radius * t + 1),) * pattern.dimension
+        box[(t,) + cone] = state_pixels(row, pattern.modulus)
+    return box
+
+
+@pytest.mark.parametrize("text, dimension, t_max", [
+    ("1@(-1);2@(0);3@(1)", 1, 6), ("1@(-2);5@(1)", 1, 4), ("1@(-1,0);2@(0,1);3@(1,1)", 2, 3)])
+def test_render_image_is_the_same_through_the_state_table_and_without(
+        text, dimension, t_max, tmp_path):
+    rule = parse_rule(text, dimension=dimension)
+    cells = sum(row.size for row in evolve(2, rule, 1, t_max).cells)
+    for n in (cells, cells + 1):  # the table is read while n <= cells
+        pattern = evolve(n, rule, n - 1, t_max)
+        frames = render_image(pattern, tmp_path / "p.pgm")
+        box = per_row_pixels(pattern)
+        for frame, pixels in zip(frames, box if dimension == 2 else [box], strict=True):
+            height, width = pixels.shape
+            header = f"P5\n{width} {height}\n255\n".encode("ascii")
+            assert frame.read_bytes() == header + pixels.tobytes(), (n, frame.name)
+
+
 def test_render_image_mod2(tmp_path, rule90):
     out = tmp_path / "gasket.pgm"
     written = render_image(evolve(2, rule90, 1, 2), out)
