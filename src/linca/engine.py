@@ -40,40 +40,34 @@ def single_site_seed(n: int, dimension: int, a: int) -> np.ndarray:
 def _kernel(rule: TransitionRule, n, radius: int) -> Callable[[np.ndarray], np.ndarray]:
     """The step out[i] = sum_j c_j * in[i + v_j] mod n on the trailing D axes, grown by radius.
 
-    ``n`` is one modulus or a column of them, one per batch row. Each c_j is reduced per
-    modulus once, so a term adds at most c_j * (max n - 1) to a cell. The step sums in the
-    first of int16, int32 whose max holds the total of those bounds and n - 1, else in int64.
-    ``bound`` tracks the bound on ``acc``, reduced only when the next term could pass that
-    max (in int64 a product is below n**2 <= 2**62, so a reduced ``acc`` has room for one
-    more) and at the end when the bound can reach the smallest modulus.
+    ``n`` is one modulus or a column of them, one per batch row; each c_j is reduced per
+    modulus once. One rule decides overflow: the exact sum of a cell is at most
+    S = sum_j max c_j * (max n - 1), and the step sums in the first of int16, int32 whose
+    max holds both S and max n, else in int64. Only when S passes ``INT64_MAX`` does the
+    cell reduce before each term after the first: a reduced cell plus one term is below
+    n + n**2 < 2**63. The final ``%`` always runs.
     """
     n = np.asarray(n, dtype=np.int64)
     top = int(n.max()) - 1
     reduced = [(t.offset, np.asarray(t.coefficient % n.astype(object), dtype=np.int64))
                for t in rule.terms]
-    total = max(top, sum(int(c.max()) * top for _, c in reduced))
-    dtype = next((d for d in (np.int16, np.int32) if total <= np.iinfo(d).max), np.int64)
-    terms, bound = [], 0
-    for offset, c in reduced:
-        if not c.any():
-            continue
-        reduce_first = bound + int(c.max()) * top > np.iinfo(dtype).max
-        bound = (top if reduce_first else bound) + int(c.max()) * top
-        terms.append((offset, c.astype(dtype), reduce_first))
-    reduce_last = bound >= int(n.min())
+    total = sum(int(c.max()) * top for _, c in reduced)
+    dtype = next((d for d in (np.int16, np.int32) if max(total, top + 1) <= np.iinfo(d).max),
+                 np.int64)
+    terms = [(offset, c.astype(dtype)) for offset, c in reduced if c.any()]
+    wide = total > INT64_MAX
     n = n.astype(dtype)
 
     def advance(cells: np.ndarray) -> np.ndarray:
         in_shape = cells.shape[-rule.dimension:]
         out_shape = cells.shape[:-rule.dimension] + tuple(e + 2 * radius for e in in_shape)
         acc = np.zeros(out_shape, dtype=dtype)
-        for offset, c, reduce_first in terms:
-            if reduce_first:
+        for j, (offset, c) in enumerate(terms):
+            if j and wide:
                 acc %= n
             window = tuple(slice(radius - v, radius - v + e) for v, e in zip(offset, in_shape))
             acc[(...,) + window] += c * cells
-        if reduce_last:
-            acc %= n
+        acc %= n
         return acc
 
     return advance

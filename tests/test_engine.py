@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linca.engine import _advance, evolve, evolve_rows, reachable_states, single_site_seed
@@ -152,6 +152,53 @@ def test_every_engine_row_is_int64(n):
     assert all(row.dtype == np.int64 for row in pattern.cells)
     assert all(row.dtype == np.int64 for row in evolve_rows([n, n], rule, [1, n - 1], 6))
     assert _advance(pattern.cells[-1], rule, n, 1).dtype == np.int64
+
+
+def test_a_batch_whose_largest_modulus_is_32768_does_not_wrap():
+    # the sum bound 32767 fits int16 but the modulus 32768 does not
+    rule = parse_rule("1@(1)")
+    rows = list(evolve_rows([32768, 2], rule, [5, 1], 2))
+    assert rows[1].tolist() == [[5, 0, 0], [1, 0, 0]]
+    for i, (m, a) in enumerate(((32768, 5), (2, 1))):
+        for t, row in enumerate(evolve(m, rule, a, 2).cells):
+            assert np.array_equal(rows[t][i], row), (m, t)
+            assert 0 <= rows[t][i].min() and rows[t][i].max() < m, (m, t)
+    assert first_disagreement(evolve(32768, rule, 32767, 20)) is None
+
+
+# small n and both sides of each edge where S or n itself passes the int16 or int32 max;
+# near 2**31 the two mixed-magnitude rules make S pass INT64_MAX, so the mid-sum % runs
+OVERFLOW_MODULI = tuple(range(2, 41)) + (181, 182, 32767, 32768, 46341, 46342, MAX_MODULUS)
+MIXED_RULES = ("-1@(-2);-1@(-1);-1@(0);1@(1)", "1@(-1);-1@(0);-1@(1);-1@(2)")
+OVERFLOW_RULES = {
+    1: ("1@(1)", EDGE_RULE) + MIXED_RULES,
+    2: ("1@(0,1)", "-1@(-1,0);1@(0,1)", "-1@(-2,0);-1@(0,-1);-1@(0,0);1@(1,1)",
+        "1@(-1,1);-1@(0,0);-1@(1,0);-1@(0,2)"),
+}
+
+
+@st.composite
+def overflow_runs(draw):
+    dimension = draw(st.sampled_from((1, 2)))
+    rule = parse_rule(draw(st.sampled_from(OVERFLOW_RULES[dimension])), dimension)
+    moduli = draw(st.lists(st.sampled_from(OVERFLOW_MODULI), min_size=1, max_size=3))
+    seeds = [draw(st.integers(1, m - 1)) for m in moduli]
+    return rule, moduli, seeds, draw(st.integers(0, 12 if dimension == 1 else 5))
+
+
+@settings(max_examples=30, deadline=None)
+@given(overflow_runs())
+@example((parse_rule(MIXED_RULES[0]), [MAX_MODULUS, 32768, 3], [MAX_MODULUS - 1, 32767, 2], 12))
+@example((parse_rule(MIXED_RULES[1]), [MAX_MODULUS, 46342, 2], [MAX_MODULUS - 2, 46341, 1], 12))
+@example((parse_rule(OVERFLOW_RULES[2][2], 2), [MAX_MODULUS, 182, 5], [MAX_MODULUS - 1, 181, 4], 5))
+def test_every_overflow_edge_agrees_with_per_row_evolve_and_the_recursion(run):
+    rule, moduli, seeds, t_max = run
+    rows = list(evolve_rows(moduli, rule, seeds, t_max))
+    for i, (m, a) in enumerate(zip(moduli, seeds)):
+        pattern = evolve(m, rule, a, t_max)
+        assert first_disagreement(pattern) is None, (m, a)
+        for t, row in enumerate(pattern.cells):
+            assert np.array_equal(rows[t][i], row), (m, a, t)
 
 
 def test_a_term_vanishing_under_one_modulus_only():

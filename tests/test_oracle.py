@@ -41,6 +41,12 @@ def test_naive_cell_two_dimensional(rule_2d):
     assert naive_cell(3, rule_2d, 2, 1, (1, 1)) == 0
 
 
+def test_naive_cell_refuses_a_site_of_the_wrong_arity(rule90):
+    with pytest.raises(ValueError) as excinfo:
+        naive_cell(5, rule90, 1, 2, (0, 0))
+    assert str(excinfo.value) == "site (0, 0) has arity 2, expected 1"
+
+
 def test_engine_matches_oracle_on_sampled_grid(rules_1d):
     for rule in rules_1d:
         for n in (2, 5, 6):

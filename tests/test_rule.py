@@ -81,6 +81,22 @@ def test_make_rule_rejects_bad_dimension():
         make_rule([(1, (0,))], dimension=0)
 
 
+@pytest.mark.parametrize("terms, message", [
+    ([(1, (0, 1))], "offset (0, 1) has arity 2, expected 1"),
+    ([], "empty term list"),
+])
+def test_make_rule_refusals(terms, message):
+    with pytest.raises(ValueError) as excinfo:
+        make_rule(terms, 1)
+    assert str(excinfo.value) == message
+
+
+def test_parse_refuses_terms_without_a_separator():
+    with pytest.raises(RuleSyntaxError) as excinfo:
+        parse_rule("1@(1) 1@(2)")
+    assert str(excinfo.value) == "expected ';' between terms (at position 6)"
+
+
 def test_radius_examples():
     assert rule_radius(parse_rule("1@(-1);1@(1)")) == 1
     assert rule_radius(parse_rule("1@(0)")) == 0

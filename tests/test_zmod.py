@@ -4,7 +4,7 @@ from linca.engine import evolve, single_site_seed
 from linca.equiv import canonicalize, seed_pair_map
 from linca.oracle import cell_oracle, naive_cell
 from linca.rule import parse_rule
-from linca.zmod import check_seed, gcd, inverse, units
+from linca.zmod import check_modulus, check_residue, check_seed, gcd, inverse, units
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -84,3 +84,8 @@ def test_every_seed_check_gives_check_seeds_message(a):
     assert raised(lambda: seed_pair_map(n, 1, a)) == expected
     assert raised(lambda: naive_cell(n, rule, a, 2, 0)) == expected
     assert raised(open_oracle) == expected
+
+
+def test_non_integer_moduli_and_residues_are_refused():
+    assert raised(lambda: check_modulus(5.0)) == "modulus must be an integer, got 5.0"
+    assert raised(lambda: check_residue("3", 5)) == "residue must be an integer, got '3'"
