@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
+from itertools import chain, islice
 from pathlib import Path
 
 from . import oracle, render
-from .engine import evolve
+from .engine import Pattern, evolve, evolve_rows
 from .equiv import (
     ClassMismatchError,
     _format_site,
@@ -46,21 +48,21 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     render.check_dimension(args.dim, args.format)
     if args.format == "pgm" and not args.out:
         raise ValueError("--format pgm requires --out")
-    pattern = evolve(args.states, rule, args.seed, args.steps)
-    if args.oracle:
-        disagreement = oracle.first_disagreement(pattern)
+    rows = evolve_rows(args.states, rule, args.seed, args.steps)
+    if args.oracle:  # checked before the first byte is written
+        head = Pattern(args.states, rule, args.seed, tuple(islice(rows, oracle.T_BOUND + 1)))
+        disagreement = oracle.first_disagreement(head)
         if disagreement is not None:
             t, site = disagreement
             print(f"oracle disagreement at t={t} i={_format_site(site)}")
             return EXIT_ORACLE
-    if args.format == "text":
-        text = render.pattern_to_text(pattern)
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        render.render_image(pattern, args.out)
+        rows = chain(head.cells, rows)
+    if args.format == "pgm":  # each writer allocates its final box before it writes
+        render.render_rows(args.states, rule, args.steps, rows, args.out)
+        return EXIT_OK
+    chunks = render.rows_to_text(args.states, args.seed, rule, args.steps, rows)
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+        out.writelines(chunks)
     return EXIT_OK
 
 

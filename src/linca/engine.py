@@ -15,7 +15,7 @@ a step sums in the narrowest exact integer type, but its rows leave as int64.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -129,11 +129,13 @@ def evolve(n: int, rule: TransitionRule, a: int, t_max: int) -> Pattern:
     return Pattern(n, rule, a, tuple(evolve_rows(n, rule, a, t_max)))
 
 
-def per_state(pattern: Pattern, fn: Callable[[np.ndarray], np.ndarray]) -> Iterator[np.ndarray]:
-    """fn of every row, read from the n-entry table fn(arange(n)) while n is at most the
-    pattern's cell count (so the table never outweighs the pattern), else computed per row."""
-    small = pattern.modulus <= sum(row.size for row in pattern.cells)
-    return map(fn(np.arange(pattern.modulus)).take if small else fn, pattern.cells)
+def per_state(n: int, rule: TransitionRule, t_max: int, rows: Iterable[np.ndarray],
+              fn: Callable[[np.ndarray], np.ndarray]) -> Iterator[np.ndarray]:
+    """fn of every row t = 0..t_max, from the n-entry table fn(arange(n)) while n is at most
+    the cell count sum_t (2*radius*t + 1)**D (no table outweighs the pattern), else per row."""
+    radius = rule_radius(rule)
+    small = n <= sum((2 * radius * t + 1) ** rule.dimension for t in range(t_max + 1))
+    return map(fn(np.arange(n)).take if small else fn, rows)
 
 
 def reachable_states(pattern: Pattern) -> set[int]:

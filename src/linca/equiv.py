@@ -239,7 +239,7 @@ def verify_isomorphism(p: Pattern, q: Pattern, f: StateMap) -> Certificate:
     check_comparable(p, q)
     if f.source_modulus != p.modulus or f.target_modulus != q.modulus:
         raise ValueError("state map moduli do not match the patterns")
-    pairs = zip(per_state(p, f.images), q.cells)
+    pairs = zip(per_state(p.modulus, p.rule, p.t_max, p.cells, f.images), q.cells)
     return _certify(p.rule, p.t_max, [(p.seed, q.seed, f)], pairs)[0]
 
 

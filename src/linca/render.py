@@ -1,27 +1,26 @@
 """Pattern presentation: a line-oriented text format and grayscale PGM images.
 
-Both writers work on whole arrays, with no Python per cell. One painter
-stacks every row, in its light-cone window, into the final box: states (0
-outside) for text, in the smallest unsigned type holding n-1, or uint8
-pixels (white outside) for PGM, painted through the state table of
-``engine.per_state``. Text peels decimal digits off with % 10 and // 10
-into bytes, a keep-mask drops leading zeros, and ``_layout`` cuts the box
-into blocks joined by an empty line; the reader checks a stream against
-that layout, parses it into the same box and crops each row through its
-window. PGM is one image in 1D and one frame per row in 2D."""
+Both writers take rows and run no Python per cell. Each row is padded, in its
+light-cone window, into one reused final box (cones nest, so a row overwrites
+all its predecessor wrote): states, 0 outside, in the smallest unsigned type
+holding n-1 for text; uint8 pixels, white outside, via ``engine.per_state`` for
+PGM. Text peels digits off with % 10 and // 10, a keep-mask drops leading zeros,
+and a row is a line in 1D or a block in 2D, blocks joined by an empty line; the
+reader parses the whole box and crops each row. PGM: one image in 1D, a frame per row in 2D."""
 
 from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from itertools import chain, starmap
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .engine import INT64_MAX, Pattern, per_state
-from .rule import rule_radius
+from .rule import TransitionRule, rule_radius
 from .zmod import check_modulus
 
 TEXT_MAGIC = "linca-pattern v1"
@@ -43,14 +42,17 @@ def _cone(t: int, radius: int, reach: int, dimension: int) -> tuple[slice, ...]:
     return (slice(reach - extent, reach + extent + 1),) * dimension
 
 
-def _paint(pattern: Pattern, fill: int, dtype, rows: Iterable[np.ndarray]) -> np.ndarray:
-    """Rows stacked on the final box, (T+1,) + (W,)*D: row t in its cone, fill elsewhere."""
-    radius = rule_radius(pattern.rule)
-    reach = radius * pattern.t_max
-    box = np.full((pattern.t_max + 1,) + (2 * reach + 1,) * pattern.dimension, fill, dtype=dtype)
-    for t, row in enumerate(rows):
-        box[(t,) + _cone(t, radius, reach, pattern.dimension)] = row
-    return box
+def _padded(rule: TransitionRule, t_max: int, fill: int, dtype, rows: Iterable[np.ndarray]):
+    """Each row padded into one final box [-reach, reach]^D, reused; allocated at the call."""
+    radius, dimension = rule_radius(rule), rule.dimension
+    reach = radius * t_max
+    box = np.full((2 * reach + 1,) * dimension, fill, dtype=dtype)
+
+    def pad(t: int, row: np.ndarray) -> np.ndarray:
+        box[_cone(t, radius, reach, dimension)] = row
+        return box
+
+    return starmap(pad, enumerate(rows))
 
 
 def _layout(box_shape: tuple[int, ...]) -> tuple[int, int, int]:
@@ -94,20 +96,23 @@ def _text_lines(lines: np.ndarray, n: int) -> np.ndarray:
     return chars[keep]
 
 
-def pattern_to_text(pattern: Pattern) -> str:
-    """Serialize a pattern (D <= 2): header plus zero-padded, centered rows.
-
-    Every row is padded to the final box [-radius*t_max, radius*t_max]^D,
-    which is written in the blocks of ``_layout``, cells in row-major order.
-    """
-    check_dimension(pattern.dimension, "text")
-    values = (pattern.dimension, pattern.modulus, pattern.seed, pattern.t_max,
-              rule_radius(pattern.rule))
+def rows_to_text(n: int, seed: int, rule: TransitionRule, t_max: int, rows) -> Iterator[str]:
+    """Pattern text (D <= 2): the header, then each row on the final box, cells in row-major
+    order, as a line in 1D and a block in 2D (``_layout``). The box is allocated at the call."""
+    check_dimension(rule.dimension, "text")
+    values = (rule.dimension, n, seed, t_max, rule_radius(rule))
     header = " ".join([TEXT_MAGIC] + [f"{k}={v}" for k, v in zip(HEADER_FIELDS, values)])
-    grid = _paint(pattern, 0, np.min_scalar_type(pattern.modulus - 1), pattern.cells)
-    blocks = grid.reshape(_layout(grid.shape))
-    body = b"\n".join(_text_lines(block, pattern.modulus).tobytes() for block in blocks)
-    return header + "\n" + body.decode("ascii")
+    boxes = _padded(rule, t_max, 0, np.min_scalar_type(n - 1), rows)
+    gap = "\n" if rule.dimension == 2 else ""
+    return chain([header + "\n"], (
+        gap * (t > 0) + _text_lines(box.reshape(-1, box.shape[-1]), n).tobytes().decode("ascii")
+        for t, box in enumerate(boxes)))
+
+
+def pattern_to_text(pattern: Pattern) -> str:
+    """Serialize a pattern (D <= 2): header plus zero-padded, centered rows."""
+    return "".join(rows_to_text(pattern.modulus, pattern.seed, pattern.rule, pattern.t_max,
+                                pattern.cells))
 
 
 class ParsedPattern(NamedTuple):
@@ -183,33 +188,36 @@ def state_pixels(states: np.ndarray, n: int) -> np.ndarray:
     return np.where(states == 0, 255, shade).astype(np.uint8)
 
 
-def write_pgm(path: Path, pixels: np.ndarray) -> None:
-    """Binary PGM (P5), maxval 255, no comment lines."""
-    height, width = pixels.shape
+def write_pgm(path: Path, width: int, height: int, lines: Iterable[np.ndarray]) -> None:
+    """Binary PGM (P5), maxval 255, no comment lines: the header, then each pixel line."""
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(pixels, dtype=np.uint8))
+        fh.writelines(np.ascontiguousarray(line, dtype=np.uint8) for line in lines)
+
+
+def render_rows(n: int, rule: TransitionRule, t_max: int, rows, path) -> list[Path]:
+    """Write rows 0..t_max as grayscale PGM image(s) and return the paths.
+
+    One dimension gives a single image with time increasing downward and
+    space across. Two dimensions give one image per timestep, all padded to the
+    final box (allocated before any file opens), named ``<stem>_t<zero-padded t>.pgm``.
+    """
+    check_dimension(rule.dimension, "pgm")
+    path = Path(path)
+    pixels = per_state(n, rule, t_max, rows, lambda s: state_pixels(s, n))
+    boxes = _padded(rule, t_max, 255, np.uint8, pixels)
+    width = 2 * rule_radius(rule) * t_max + 1
+    if rule.dimension == 1:
+        write_pgm(path, width, t_max + 1, boxes)
+        return [path]
+    digits = max(3, len(str(t_max)))
+    suffix = path.suffix or ".pgm"
+    written = [path.with_name(f"{path.stem}_t{t:0{digits}d}{suffix}") for t in range(t_max + 1)]
+    for frame_path, frame in zip(written, boxes):
+        write_pgm(frame_path, width, width, frame)
+    return written
 
 
 def render_image(pattern: Pattern, path) -> list[Path]:
-    """Write the pattern as grayscale PGM image(s) and return the paths.
-
-    One dimension gives a single image with time increasing downward and
-    space across. Two dimensions give one image per timestep, all padded to
-    the final box, named ``<stem>_t<zero-padded t>.pgm``.
-    """
-    check_dimension(pattern.dimension, "pgm")
-    path = Path(path)
-    n = pattern.modulus
-    pixels = _paint(pattern, 255, np.uint8, per_state(pattern, lambda s: state_pixels(s, n)))
-    if pattern.dimension == 1:
-        write_pgm(path, pixels)
-        return [path]
-    digits = max(3, len(str(pattern.t_max)))
-    suffix = path.suffix or ".pgm"
-    written = []
-    for t, frame in enumerate(pixels):
-        frame_path = path.with_name(f"{path.stem}_t{t:0{digits}d}{suffix}")
-        write_pgm(frame_path, frame)
-        written.append(frame_path)
-    return written
+    """Write the pattern as grayscale PGM image(s), as ``render_rows``, and return the paths."""
+    return render_rows(pattern.modulus, pattern.rule, pattern.t_max, pattern.cells, path)

@@ -57,6 +57,33 @@ def test_a_run_too_large_to_allocate_exits_2_without_a_traceback(command, tmp_pa
     assert stderr.startswith("error: ") and "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("fmt, name", [("text", "x.txt"), ("pgm", "x.pgm")])
+def test_a_row_too_wide_for_the_writer_leaves_no_output(fmt, name, tmp_path):
+    # the writer's final box is allocated before its header or file
+    result = run_cli("evolve", "--states", "2", "--seed", "1", "--rule", "1@(999999999999999)",
+                     "--steps", "1", "--format", fmt, "--out", name, cwd=tmp_path)
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert result.stderr.decode().startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["text", "pgm"])
+def test_evolve_streams_rows_to_its_output(fmt, tmp_path):
+    # the whole 2049-row pattern would take 113 MiB as text and 40 MiB as PGM
+    tracemalloc.start()
+    try:
+        code = cli.main(["evolve", "--states", "13", "--seed", "5", "--steps", "2048",
+                         "--rule", "2@(-1);3@(0);1@(1)", "--format", fmt,
+                         "--out", str(tmp_path / "deep")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert (tmp_path / "deep").stat().st_size > 2049 * 4097
+    assert peak < 4 * 2**20
+
+
 def test_evolve_writes_pgm(tmp_path):
     out = tmp_path / "fig.pgm"
     result = run_cli(
@@ -142,6 +169,58 @@ def test_oracle_check_keeps_no_cells_after_it_returns(capsys):
         if isinstance(obj, memo_type) and obj.__module__ == oracle.__name__
     ]
     assert sum(kept) == 0
+
+
+def test_verify_exits_1_on_a_false_map(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "seed_pair_map", lambda n, a, b: equiv.StateMap.affine(7, 1, 3, 1))
+    code = cli.main(["verify", "--states", "7", "--seed-a", "1", "--seed-b", "2", "--steps", "4",
+                     "--rule", "1@(-1);1@(0);1@(1)"])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        "certificate v1\n"
+        'source n=7 a=1 rule="1@(-1);1@(0);1@(1)" tmax=4\n'
+        "target n=7 a=2\n"
+        "map 0->0\nmap 1->3\nmap 2->6\nmap 3->2\nmap 4->5\nmap 5->1\nmap 6->4\n"
+        "status falsified t=0 i=0\n"
+    )
+
+
+def test_canon_certify_exits_1_on_a_false_map(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "canonicalize", lambda n, a: (7, equiv.StateMap.affine(7, 1, 2, 1)))
+    code = cli.main(["canon", "--states", "7", "--seed", "3", "--certify",
+                     "--rule", "1@(-1);1@(0);1@(1)"])
+    assert code == 1
+    lines = "map 0->0\nmap 1->2\nmap 2->4\nmap 3->6\nmap 4->1\nmap 5->3\nmap 6->5\n"
+    assert capsys.readouterr().out == (
+        "r=7 d=1\n" + lines + "certificate v1\n"
+        'source n=7 a=3 rule="1@(-1);1@(0);1@(1)" tmax=15\n'
+        "target n=7 a=1\n" + lines + "status falsified t=0 i=0\n"
+    )
+
+
+def test_sweep_exits_1_on_a_false_map(monkeypatch, capsys, tmp_path):
+    real = equiv.canonicalize
+
+    def one_false_map(n, a):
+        return (3, equiv.StateMap.affine(6, 2, 2, 1)) if (n, a) == (6, 2) else real(n, a)
+
+    monkeypatch.setattr(equiv, "canonicalize", one_false_map)
+    (tmp_path / "rules.txt").write_text("1@(-1);1@(0);1@(1)\n")
+    code = cli.main(["sweep", "--states-max", "6", "--steps", "4",
+                     "--rules", str(tmp_path / "rules.txt")])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        "sweep v1 states-max=6 steps=4\n"
+        'rule "1@(-1);1@(0);1@(1)"\n'
+        "n=2 r=2 seeds=1 status=verified\n"
+        "n=3 r=3 seeds=1,2 status=verified\n"
+        "n=4 r=4 seeds=1,3 status=verified\n"
+        "n=4 r=2 seeds=2 status=verified\n"
+        "n=5 r=5 seeds=1,2,3,4 status=verified\n"
+        "n=6 r=6 seeds=1,5 status=verified\n"
+        "n=6 r=3 seeds=2,4 status=falsified\n"
+        "n=6 r=2 seeds=3 status=verified\n"
+    )
 
 
 def test_canon_output():

@@ -110,6 +110,13 @@ def test_search_requires_zero_to_pair_with_zero(rule90):
     assert search_state_maps(p, q) == []
 
 
+def test_search_refuses_a_forced_relation_that_merges_states():
+    # the cell pairs are (0,0), (1,1), (4,1), (7,1): no source state has two images
+    # and 0 pairs only with 0, but three source states share the target 1
+    rule = parse_rule("4@(1)")
+    assert search_state_maps(evolve(9, rule, 1, 4), evolve(3, rule, 1, 4)) == []
+
+
 def test_search_keys_at_the_largest_modulus():
     n = 2**31 - 1
     rule = parse_rule("1@(-1);1@(0);1@(1)")
@@ -220,3 +227,9 @@ def test_first_disagreement_reports_a_doctored_cell(rule90, rule_2d):
     # rows past the oracle's bound are not walked
     beyond = doctored(evolve(3, rule90, 1, T_BOUND + 2), T_BOUND + 1, (2,))
     assert first_disagreement(beyond) is None
+
+
+def test_first_disagreement_walks_the_row_at_its_bound():
+    pattern = evolve(7, parse_rule("1@(-1);1@(0);1@(1)"), 3, 24)
+    assert pattern.cells[T_BOUND].shape == (41,)  # index 5 is site -15
+    assert first_disagreement(doctored(pattern, T_BOUND, (-15,))) == (T_BOUND, (-15,))
